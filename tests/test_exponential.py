@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cl3 import (
     ExpBranch,
@@ -20,6 +21,7 @@ from cl3 import (
     grade_select,
     normalize,
     series_eval,
+    sign_table,
 )
 from conftest import ALL_SIGS, cl03_degenerate, max_err, null_vector_bivector, rand_mv
 from reference_values import EXP_OF_REF, REF_COEFFS, REF_SCALE, TABLE_TOL
@@ -335,3 +337,25 @@ def test_ga_eps_override_switches_branch(rng, monkeypatch):
     assert exp_factors(x).branch is ExpBranch.GENERIC
     monkeypatch.setenv("GA_EPS", "1e-3")
     assert exp_factors(x).branch is ExpBranch.BOTH_DEGENERATE
+
+
+def _left_regular(x):
+    """8x8 matrix L with L @ y = coefficients of x * y, from the sign table."""
+    index, sign = sign_table(x.sig)
+    mat = np.zeros((8, 8))
+    for i in range(8):
+        for j in range(8):
+            mat[index[i, j], j] += sign[i, j] * x.c[i]
+    return mat
+
+
+@pytest.mark.parametrize("s", [1e3, 1e5, 1e7])
+def test_cl03_large_scale_matches_expm(s):
+    # a1 = (s+3)/2, a23 = (s-3)/2: one factor length is 3 while the input's
+    # scale is s, so a tolerance that grows with the scale must not touch it.
+    c = np.zeros(8)
+    c[1], c[6] = (s + 3.0) / 2.0, (s - 3.0) / 2.0
+    x = Multivector(Signature.CL03, c)
+    want = scipy.linalg.expm(_left_regular(x))[:, 0]
+    # scipy's scaling and squaring itself drifts by ~4e-9 at s = 1e7.
+    assert max_err(exp(x), want) <= 1e-7 * np.abs(want).max()

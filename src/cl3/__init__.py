@@ -29,10 +29,12 @@ from .exceptions import (
     MixedGradeInputError,
     MVParseError,
     NoIsolatedRootError,
+    NonFiniteError,
     NonInvertibleError,
     NormUndefinedError,
     SeriesOrderError,
     SignatureMismatchError,
+    ToleranceError,
     UnsupportedSignatureError,
 )
 from .exponential import ExpBranch, ExpFactors, degeneracy_eps, exp, exp_factors, exp_particular

@@ -6,19 +6,22 @@ Coefficients are stored in the fixed blade order
 
 i.e. graded by scalar, vector, bivector, pseudoscalar, with ascending
 generator indices inside each blade (``e13`` is the stored blade; ``e31``
-is its negative and never appears).  The sign tables are derived from the
+is its negative and never appears).  The product tables are derived from the
 generator relations ``ei*ej + ej*ei = +/-2*delta_ij`` rather than entered
-by hand.
+by hand, and each one is compiled at import into a straight-line function
+over two coefficient tuples.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Sequence
+import math
+import operator
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exceptions import NonInvertibleError, NormUndefinedError, SignatureMismatchError
+from .exceptions import NonFiniteError, NonInvertibleError, NormUndefinedError, SignatureMismatchError
 
 __all__ = [
     "BLADE_NAMES",
@@ -45,7 +48,6 @@ BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 
 # Bit i of a mask marks generator e_{i+1}.
 _BLADE_MASKS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
-_MASK_TO_INDEX = {mask: idx for idx, mask in enumerate(_BLADE_MASKS)}
 
 # Residue guard on the involution-product determinant, and the
 # scale-invariant singularity cutoff |det| < 1e-12 * (sum |c_i|)^4.
@@ -113,63 +115,87 @@ def blade_product(mask_a: int, mask_b: int, squares: Sequence[int]) -> tuple[int
     return mask_a ^ mask_b, sign
 
 
-class _SigTables(NamedTuple):
-    index: np.ndarray   # (8, 8) target blade index
-    sign: np.ndarray    # (8, 8) sign in {-1, 0, +1}
-    flat: np.ndarray    # (8, 64) product tensor folded for two matmuls
+def _blade_table(masks: Sequence[int], squares: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """(target slot, sign) of blade i times blade j, for every slot pair."""
+    slot = {mask: k for k, mask in enumerate(masks)}
+    products = [[blade_product(a, b, squares) for b in masks] for a in masks]
+    return [[(slot[mask], sign) for mask, sign in row] for row in products]
 
 
-def _build_tables(sig: Signature) -> _SigTables:
-    index = np.zeros((8, 8), dtype=np.int8)
-    sign = np.zeros((8, 8), dtype=np.int8)
-    tensor = np.zeros((8, 8, 8))
-    for i, mask_a in enumerate(_BLADE_MASKS):
-        for j, mask_b in enumerate(_BLADE_MASKS):
-            mask, s = blade_product(mask_a, mask_b, sig.squares)
-            k = _MASK_TO_INDEX[mask]
-            index[i, j] = k
-            sign[i, j] = s
-            tensor[i, j, k] = s
-    index.flags.writeable = False
-    sign.flags.writeable = False
-    return _SigTables(index, sign, np.ascontiguousarray(tensor.reshape(8, 64)))
+def _product_kernel(masks: Sequence[int], squares: Sequence[int]) -> Callable:
+    """Compile the product over blades ``masks`` into ``prod(a, b) -> tuple``.
+
+    Output slot k is the signed sum of ``a[i] * b[j]`` over the slot pairs
+    whose blade product lands on k, written out as straight-line source (the
+    code generation idiom of *kingdon*), so a call looks up no table.
+    """
+    n = len(masks)
+    terms = [[] for _ in range(n)]
+    for i, row in enumerate(_blade_table(masks, squares)):
+        for j, (k, sign) in enumerate(row):
+            terms[k].append(f"{'-' if sign < 0 else '+'} a{i} * b{j}")
+    lines = [
+        "def prod(a, b):",
+        f"    {', '.join(f'a{i}' for i in range(n))} = a",
+        f"    {', '.join(f'b{i}' for i in range(n))} = b",
+        "    return (",
+        *(f"        {' '.join(t).removeprefix('+ ')}," for t in terms),
+        "    )",
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["prod"]
 
 
-_TABLES = {sig: _build_tables(sig) for sig in Signature}
+_PRODUCTS = {sig: _product_kernel(_BLADE_MASKS, sig.squares) for sig in Signature}
 
 
 def sign_table(sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     """(target index, sign) arrays of the 8x8 blade product table."""
-    tables = _TABLES[sig]
-    return tables.index.copy(), tables.sign.copy()
+    table = np.array(_blade_table(_BLADE_MASKS, sig.squares), dtype=np.int8)
+    return table[:, :, 0].copy(), table[:, :, 1].copy()
 
 
 class Multivector:
-    """Immutable 8-coefficient element of one of the four 3D algebras."""
+    """Immutable 8-coefficient element of one of the four 3D algebras.
 
-    __slots__ = ("sig", "c")
+    ``t`` holds the coefficients as a tuple of eight floats; ``c`` is the
+    same values as a read-only numpy array, built on first access.
+    """
+
+    __slots__ = ("sig", "t", "_c")
 
     def __init__(self, sig: Signature, coeffs):
-        c = np.array(coeffs, dtype=float).reshape(8)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("multivector coefficients must be finite")
-        c.flags.writeable = False
+        if type(coeffs) is tuple and len(coeffs) == 8:
+            coeffs = tuple(map(float, coeffs))
+        else:
+            coeffs = tuple(np.asarray(coeffs, dtype=float).reshape(8).tolist())
+        if not all(map(math.isfinite, coeffs)):
+            raise NonFiniteError("multivector coefficients must be finite")
         self.sig = sig
-        self.c = c
+        self.t = coeffs
+        self._c = None
+
+    @property
+    def c(self) -> np.ndarray:
+        c = self._c
+        if c is None:
+            c = np.array(self.t)
+            c.flags.writeable = False
+            self._c = c
+        return c
 
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
-        return cls(sig, np.zeros(8))
+        return cls(sig, (0.0,) * 8)
 
     @classmethod
     def scalar(cls, sig: Signature, value: float) -> "Multivector":
-        c = np.zeros(8)
-        c[0] = value
-        return cls(sig, c)
+        return cls(sig, (value,) + (0.0,) * 7)
 
     @property
     def scalar_part(self) -> float:
-        return float(self.c[0])
+        return self.t[0]
 
     def grade(self, g: int) -> "Multivector":
         return grade_select(self, g)
@@ -186,11 +212,9 @@ class Multivector:
     def __add__(self, other):
         if isinstance(other, Multivector):
             self._check_sig(other)
-            return Multivector(self.sig, self.c + other.c)
+            return Multivector(self.sig, tuple(map(operator.add, self.t, other.t)))
         if isinstance(other, (int, float)):
-            c = self.c.copy()
-            c[0] += other
-            return Multivector(self.sig, c)
+            return Multivector(self.sig, (self.t[0] + other,) + self.t[1:])
         return NotImplemented
 
     __radd__ = __add__
@@ -202,48 +226,46 @@ class Multivector:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Multivector(self.sig, -self.c)
+        return Multivector(self.sig, tuple(map(operator.neg, self.t)))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return geometric_product(self, other)
         if isinstance(other, (int, float)):
-            return Multivector(self.sig, self.c * other)
+            return Multivector(self.sig, tuple([v * other for v in self.t]))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self.sig, self.c * other)
-        return NotImplemented
+    # Only non-multivector left operands reach __rmul__, and scalars commute.
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(self.sig, self.c / other)
+            return Multivector(self.sig, tuple([v / other for v in self.t]))
         return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.sig is other.sig and np.array_equal(self.c, other.c)
+        return self.sig is other.sig and self.t == other.t
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Multivector(Signature.{self.sig.name}, {self.c.tolist()})"
+        return f"Multivector(Signature.{self.sig.name}, {list(self.t)})"
 
     def __str__(self):
-        parts = []
-        for name, v in zip(BLADE_NAMES, self.c):
-            if v == 0.0:
-                continue
-            term = f"{abs(v):.12g}" if name == "1" else f"{abs(v):.12g}*{name}"
-            parts.append(("- " if v < 0 else "+ " if parts else "") + term)
-        if not parts:
-            return "0"
-        head = parts[0]
-        if head.startswith("- "):
-            head = "-" + head[2:]
-        return " ".join([head] + parts[1:])
+        return _render(self.t, 12)
+
+
+def _render(t: tuple, digits: int) -> str:
+    """Signed terms in blade order, e.g. ``-4 + 1*e1 - 5*e3``; exact zeros suppressed."""
+    terms = [
+        ("- " if v < 0 else "+ ") + f"{abs(v):.{digits}g}" + ("" if name == "1" else f"*{name}")
+        for name, v in zip(BLADE_NAMES, t)
+        if v != 0.0
+    ]
+    text = " ".join(terms).removeprefix("+ ")
+    return ("-" + text[2:] if text.startswith("- ") else text) or "0"
 
 
 def blade(sig: Signature, name: str, coeff: float = 1.0) -> Multivector:
@@ -252,9 +274,9 @@ def blade(sig: Signature, name: str, coeff: float = 1.0) -> Multivector:
         idx = BLADE_NAMES.index(name)
     except ValueError:
         raise ValueError(f"unknown blade {name!r}; valid names: {', '.join(BLADE_NAMES)}") from None
-    c = np.zeros(8)
+    c = [0.0] * 8
     c[idx] = coeff
-    return Multivector(sig, c)
+    return Multivector(sig, tuple(c))
 
 
 def blades(sig: Signature) -> dict[str, Multivector]:
@@ -268,8 +290,7 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
         raise SignatureMismatchError(
             f"cannot multiply {x.sig.name} by {y.sig.name} multivector"
         )
-    m = (x.c @ _TABLES[x.sig].flat).reshape(8, 8)
-    return Multivector(x.sig, y.c @ m)
+    return Multivector(x.sig, _PRODUCTS[x.sig](x.t, y.t))
 
 
 class InvolutionKind(enum.Enum):
@@ -281,23 +302,22 @@ class InvolutionKind(enum.Enum):
 _INVOLUTION_SIGNS = {
     # Reverse flips grades 2 and 3, grade inverse flips 1 and 3,
     # their composition flips 1 and 2.
-    InvolutionKind.REVERSE: np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=float),
-    InvolutionKind.GRADE_INVERSE: np.array([1, -1, -1, -1, 1, 1, 1, -1], dtype=float),
-    InvolutionKind.REVERSE_GRADE_INVERSE: np.array([1, -1, -1, -1, -1, -1, -1, 1], dtype=float),
+    InvolutionKind.REVERSE: (1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0),
+    InvolutionKind.GRADE_INVERSE: (1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0),
+    InvolutionKind.REVERSE_GRADE_INVERSE: (1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0),
 }
 
 
 def involute(x: Multivector, kind: InvolutionKind) -> Multivector:
     """Apply one of the three grade-sign involutions."""
-    return Multivector(x.sig, x.c * _INVOLUTION_SIGNS[kind])
+    return Multivector(x.sig, tuple(map(operator.mul, _INVOLUTION_SIGNS[kind], x.t)))
 
 
 def grade_select(x: Multivector, g: int) -> Multivector:
     """Zero every coefficient whose blade is not of grade ``g``."""
     if g not in (0, 1, 2, 3):
         raise ValueError(f"grade must be in 0..3, got {g}")
-    c = np.where(np.array(BLADE_GRADES) == g, x.c, 0.0)
-    return Multivector(x.sig, c)
+    return Multivector(x.sig, tuple([v if k == g else 0.0 for k, v in zip(BLADE_GRADES, x.t)]))
 
 
 def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
@@ -311,13 +331,13 @@ def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
     gi = involute(x, InvolutionKind.GRADE_INVERSE)
     gi_rev = involute(rev, InvolutionKind.GRADE_INVERSE)
     adj = geometric_product(geometric_product(rev, gi), gi_rev)
-    prod = geometric_product(x, adj)
-    scale = float(np.abs(x.c).sum()) ** 4
-    residue = float(np.abs(prod.c[1:]).max())
+    prod = geometric_product(x, adj).t
+    scale = sum(map(abs, x.t)) ** 4
+    residue = max(map(abs, prod[1:]))
     assert residue <= _RESIDUE_TOL * max(scale, 1.0), (
         f"non-scalar residue {residue:.3e} in determinant product"
     )
-    return adj, float(prod.c[0])
+    return adj, prod[0]
 
 
 def determinant(x: Multivector) -> float:
@@ -343,7 +363,7 @@ def inverse(x: Multivector) -> InverseResult:
     determinant) when |det| falls below the scale-invariant cutoff.
     """
     adj, det = _adjugate_with_det(x)
-    cutoff = _SINGULAR_TOL * float(np.abs(x.c).sum()) ** 4
+    cutoff = _SINGULAR_TOL * sum(map(abs, x.t)) ** 4
     if abs(det) <= cutoff:
         raise NonInvertibleError(
             f"determinant {det:.6e} below singularity cutoff {cutoff:.6e}",

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Multivector, Signature
 from .exceptions import NoIsolatedRootError
 
@@ -27,10 +25,7 @@ class CenterElement:
     a_i: float
 
     def as_multivector(self, sig: Signature) -> Multivector:
-        c = np.zeros(8)
-        c[0] = self.a_s
-        c[7] = self.a_i
-        return Multivector(sig, c)
+        return Multivector(sig, (self.a_s, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.a_i))
 
 
 def center_product(x: CenterElement, y: CenterElement, sig: Signature) -> CenterElement:
@@ -50,7 +45,7 @@ def center_decompose(x: Multivector) -> CenterElement:
     satisfies (a + A)^2 = -(a_s + a_i*e123), for the other three algebras
     (a + A)^2 = +(a_s + a_i*e123).
     """
-    a1, a2, a3, a12, a13, a23 = (float(v) for v in x.c[1:7])
+    _, a1, a2, a3, a12, a13, a23, _ = x.t
     cross = 2.0 * (a3 * a12 - a2 * a13 + a1 * a23)
     sig = x.sig
     if sig is Signature.CL03:

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .algebra import (
+    _render,
     BLADE_NAMES,
     Multivector,
     Signature,
@@ -140,21 +141,7 @@ def parse_mv(text: str, sig: Signature = Signature.CL30) -> Multivector:
 
 def render_mv(mv: Multivector, digits: int = 8) -> str:
     """Signed terms in blade order; exact zeros suppressed."""
-    parts = []
-    for name, v in zip(BLADE_NAMES, mv.c):
-        if v == 0.0:
-            continue
-        body = f"{abs(v):.{digits}g}"
-        if name != "1":
-            body += f"*{name}"
-        parts.append(("-" if v < 0 else "+", body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    text = (first_sign if first_sign == "-" else "") + first_body
-    for s, body in parts[1:]:
-        text += f" {s} {body}"
-    return text
+    return _render(mv.t, digits)
 
 
 def _mv_json(mv: Multivector) -> dict:
@@ -353,10 +340,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except Cl3Error as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (Cl3Error, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

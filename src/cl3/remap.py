@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    _BLADE_MASKS,
+    _product_kernel,
     BLADE_NAMES,
     Multivector,
     Signature,
@@ -30,26 +32,12 @@ __all__ = [
     "even_geometric_product",
 ]
 
-_BLADE_MASKS_3D = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
-
 # Even-grade blades of a 4D algebra, graded and ascending like the 3D order.
 EVEN_BLADE_NAMES = ("1", "e12", "e13", "e14", "e23", "e24", "e34", "e1234")
 _EVEN_MASKS = (0b0000, 0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100, 0b1111)
-_EVEN_MASK_TO_INDEX = {m: i for i, m in enumerate(_EVEN_MASKS)}
 
 _EVEN_SQUARES = {"cl13": (1, -1, -1, -1), "cl31": (1, 1, 1, -1)}
-
-
-def _build_even_tensor(squares) -> np.ndarray:
-    tensor = np.zeros((8, 8, 8))
-    for i, ma in enumerate(_EVEN_MASKS):
-        for j, mb in enumerate(_EVEN_MASKS):
-            mask, sign = blade_product(ma, mb, squares)
-            tensor[i, j, _EVEN_MASK_TO_INDEX[mask]] = sign
-    return np.ascontiguousarray(tensor.reshape(8, 64))
-
-
-_EVEN_TENSORS = {name: _build_even_tensor(sq) for name, sq in _EVEN_SQUARES.items()}
+_EVEN_PRODUCTS = {name: _product_kernel(_EVEN_MASKS, sq) for name, sq in _EVEN_SQUARES.items()}
 
 
 @dataclass(frozen=True)
@@ -73,8 +61,7 @@ def even_geometric_product(x: EvenMultivector, y: EvenMultivector) -> EvenMultiv
     """Product of two even 4D elements (the even blades close under it)."""
     if x.algebra != y.algebra:
         raise ValueError(f"cannot multiply {x.algebra} by {y.algebra} element")
-    m = (x.c @ _EVEN_TENSORS[x.algebra]).reshape(8, 8)
-    return EvenMultivector(x.algebra, y.c @ m)
+    return EvenMultivector(x.algebra, _EVEN_PRODUCTS[x.algebra](x.c.tolist(), y.c.tolist()))
 
 
 @dataclass(frozen=True)
@@ -89,17 +76,13 @@ class RemapTable:
     src_slot: tuple[int, ...]      # dst slot i takes src slot src_slot[i]
     sign: tuple[int, ...]          # ... multiplied by sign[i]
 
-    def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.empty(8)
-        for i in range(8):
-            out[i] = self.sign[i] * coeffs[self.src_slot[i]]
-        return out
+    def forward(self, coeffs) -> tuple[float, ...]:
+        return tuple([s * coeffs[k] for k, s in zip(self.src_slot, self.sign)])
 
-    def backward(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.empty(8)
-        for i in range(8):
-            out[self.src_slot[i]] = self.sign[i] * coeffs[i]
-        return out
+    def backward(self, coeffs) -> tuple[float, ...]:
+        # Source slot src_slot[i] takes destination slot i (signs are +/-1).
+        dst_slot = sorted(range(8), key=self.src_slot.__getitem__)
+        return tuple([self.sign[i] * coeffs[i] for i in dst_slot])
 
 
 def _solve_table(name, src, dst, src_masks, src_squares, dst_sig, pairs):
@@ -162,15 +145,14 @@ def _solve_table(name, src, dst, src_masks, src_squares, dst_sig, pairs):
 def _build_tables() -> dict[str, RemapTable]:
     cl30 = Signature.CL30
     cl12 = Signature.CL12
-    masks3 = _BLADE_MASKS_3D
     tables = [
         _solve_table(
-            "cl30_cl12_1", "cl30", "cl12", masks3, cl30.squares, cl12,
+            "cl30_cl12_1", "cl30", "cl12", _BLADE_MASKS, cl30.squares, cl12,
             [("1", "1"), ("e1", "e1"), ("e13", "e2"), ("e12", "e3"),
              ("e3", "e12"), ("e2", "e13"), ("e23", "e23"), ("e123", "e123")],
         ),
         _solve_table(
-            "cl30_cl12_2", "cl30", "cl12", masks3, cl30.squares, cl12,
+            "cl30_cl12_2", "cl30", "cl12", _BLADE_MASKS, cl30.squares, cl12,
             [("1", "1"), ("e3", "e1"), ("e13", "e2"), ("e23", "e3"),
              ("e1", "e12"), ("e2", "e13"), ("e12", "e23"), ("e123", "e123")],
         ),
@@ -223,11 +205,11 @@ def basis_remap(x, table: RemapTable):
     dst_sig = _SIG_BY_NAME[table.dst]
     if isinstance(x, Multivector):
         if table.src in _SIG_BY_NAME and x.sig is _SIG_BY_NAME[table.src]:
-            return Multivector(dst_sig, table.forward(x.c))
+            return Multivector(dst_sig, table.forward(x.t))
         if x.sig is dst_sig:
             if table.src in _SIG_BY_NAME:
-                return Multivector(_SIG_BY_NAME[table.src], table.backward(x.c))
-            return EvenMultivector(table.src, table.backward(x.c))
+                return Multivector(_SIG_BY_NAME[table.src], table.backward(x.t))
+            return EvenMultivector(table.src, table.backward(x.t))
     elif isinstance(x, EvenMultivector) and x.algebra == table.src:
-        return Multivector(dst_sig, table.forward(x.c))
+        return Multivector(dst_sig, table.forward(x.c.tolist()))
     raise ValueError(f"input does not belong to either side of table {table.name!r}")

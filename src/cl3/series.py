@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Multivector, geometric_product
+from .algebra import _PRODUCTS, Multivector, geometric_product
 from .exceptions import SeriesOrderError
 
 __all__ = [
@@ -183,14 +183,18 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     base = x if stride == 1 else geometric_product(x, x)
     odd_lead = powers[0] == 1
 
-    acc = Multivector.scalar(x.sig, coeffs[-1])
+    prod = _PRODUCTS[x.sig]
+    b = base.t
+    acc = (coeffs[-1], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     for c in coeffs[-2::-1]:
-        acc = geometric_product(acc, base) + c
+        p = prod(acc, b)
+        acc = (p[0] + c,) + p[1:]
     if odd_lead:
-        acc = geometric_product(acc, x)
+        acc = prod(acc, x.t)
+    acc = Multivector(x.sig, acc)
 
     if not return_last_term:
         return acc
     tail = _power(x, powers[-1]) * coeffs[-1]
-    delta = float(abs(tail.c).max())
+    delta = max(map(abs, tail.t))
     return acc, delta

@@ -11,7 +11,8 @@ probability follows a Rabi law peaked at the resonance sigma*w + w0 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,18 +61,12 @@ class FieldConfig:
 def field_at(cfg: FieldConfig, t: float) -> Multivector:
     """Lab-frame field vector B(t)."""
     wt = cfg.omega * t
-    c = np.zeros(8)
-    c[1] = cfg.b1 * math.cos(wt)
-    c[2] = cfg.sigma * cfg.b1 * math.sin(wt)
-    c[3] = cfg.b0
-    return Multivector(_SIG, c)
+    b1 = cfg.b1
+    return Multivector(_SIG, (0, b1 * math.cos(wt), cfg.sigma * b1 * math.sin(wt), cfg.b0, 0, 0, 0, 0))
 
 
 def _bivector(e12: float, e23: float) -> Multivector:
-    c = np.zeros(8)
-    c[4] = e12
-    c[6] = e23
-    return Multivector(_SIG, c)
+    return Multivector(_SIG, (0.0, 0.0, 0.0, 0.0, e12, 0.0, e23, 0.0))
 
 
 def _rotating_frame_rotor(cfg: FieldConfig, t: float) -> Multivector:
@@ -93,7 +88,7 @@ def evolve_spinor(cfg: FieldConfig, t: float, psi0: Multivector) -> Multivector:
     exponential already degrades to 1 + B t/2 there.
     """
     norm = geometric_product(psi0, psi0.reverse())
-    if abs(norm.c[0] - 1.0) > 1e-10 or np.abs(norm.c[1:]).max() > 1e-10:
+    if abs(norm.t[0] - 1.0) > 1e-10 or max(map(abs, norm.t[1:])) > 1e-10:
         raise ValueError("psi0 is not unit-normalized")
     rotor = geometric_product(_rotating_frame_rotor(cfg, t), _frame_propagator(cfg, t))
     return geometric_product(rotor, psi0)
@@ -144,6 +139,16 @@ class RampSweep:
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
 
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only sample times and static-field values, computed once and
+        shared by every trace of this ramp."""
+        times = np.linspace(0.0, self.duration, self.samples)
+        b0 = np.linspace(self.b0_start, self.b0_end, self.samples)
+        times.flags.writeable = False
+        b0.flags.writeable = False
+        return times, b0
+
 
 @dataclass(frozen=True)
 class ProbabilityTrace:
@@ -175,8 +180,7 @@ def sweep_ramp(sweep: RampSweep, sigma: int, method: str = "closed") -> Probabil
     """
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be -1 or +1, got {sigma}")
-    times = np.linspace(0.0, sweep.duration, sweep.samples)
-    b0 = np.linspace(sweep.b0_start, sweep.b0_end, sweep.samples)
+    times, b0 = sweep.grid
 
     if method == "closed":
         detune = sigma * sweep.omega + sweep.gamma * b0

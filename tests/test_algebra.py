@@ -1,11 +1,16 @@
 """Core multivector arithmetic: products, involutions, determinant, inverse."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cl3 import (
+    Cl3Error,
+    EVEN_BLADE_NAMES,
+    EvenMultivector,
     InvolutionKind,
     Multivector,
     NonInvertibleError,
@@ -17,12 +22,14 @@ from cl3 import (
     blades,
     det_norm,
     determinant,
+    even_geometric_product,
     geometric_product,
     grade_select,
     inverse,
     involute,
     sign_table,
 )
+from cl3.algebra import blade_product
 from conftest import ALL_SIGS, max_err, rand_mv
 from reference_values import REF_COEFFS, REF_DET
 
@@ -256,3 +263,55 @@ def test_blades_helper():
     assert table["e12"].c[4] == 1.0
     with pytest.raises(ValueError):
         blade(Signature.CL12, "e31")
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_product_kernel_matches_sign_table(sig):
+    index, sign = sign_table(sig)
+    unit = np.eye(8)
+    for i in range(8):
+        for j in range(8):
+            got = geometric_product(Multivector(sig, unit[i]), Multivector(sig, unit[j]))
+            assert got.t == tuple(sign[i, j] * unit[index[i, j]])
+
+
+# Generator bitmasks of EVEN_BLADE_NAMES and the 4D generator squares.
+EVEN_MASKS = (0b0000, 0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100, 0b1111)
+EVEN_SQUARES = {"cl13": (1, -1, -1, -1), "cl31": (1, 1, 1, -1)}
+
+
+@pytest.mark.parametrize("algebra", sorted(EVEN_SQUARES))
+def test_even_product_kernel_matches_blade_products(algebra):
+    assert len(EVEN_MASKS) == len(EVEN_BLADE_NAMES)
+    unit = np.eye(8)
+    for i, mask_a in enumerate(EVEN_MASKS):
+        for j, mask_b in enumerate(EVEN_MASKS):
+            mask, s = blade_product(mask_a, mask_b, EVEN_SQUARES[algebra])
+            got = even_geometric_product(EvenMultivector(algebra, unit[i]), EvenMultivector(algebra, unit[j]))
+            assert got.c.tolist() == (s * unit[EVEN_MASKS.index(mask)]).tolist()
+
+
+def test_coefficient_views():
+    x = Multivector(Signature.CL21, [1, -2.5, 0, 3, 0, 0, 7, -1])
+    assert x.t == (1.0, -2.5, 0.0, 3.0, 0.0, 0.0, 7.0, -1.0)
+    assert all(type(v) is float for v in x.t)
+    assert Multivector(Signature.CL21, (1, -2.5, 0, 3, 0, 0, 7, -1)).t == x.t
+    assert all(type(v) is float for v in Multivector(Signature.CL21, (1, 0, 0, 0, 0, 0, 0, 2)).t)
+    y = x * 2.0  # built from a tuple; its array is made on first access
+    for mv in (x, y):
+        assert mv.c.tolist() == list(mv.t)
+        assert mv.c is mv.c
+        assert not mv.c.flags.writeable
+        with pytest.raises(ValueError):
+            mv.c[0] = 5.0
+
+
+def test_overflowing_product_is_rejected():
+    big = Multivector.scalar(Signature.CL30, 1e200)
+    with pytest.raises(ValueError) as exc:
+        big * big
+    assert isinstance(exc.value, Cl3Error)
+    with pytest.raises(ValueError):
+        Multivector(Signature.CL30, (0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0))
+    # Huge but finite coefficients are accepted.
+    assert Multivector(Signature.CL30, (1e308,) * 8).t == (1e308,) * 8

@@ -1,0 +1,21 @@
+"""Smoke test of the benchmark harness: one short run of one workload."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_series_compare_run_passes_and_reports_the_declared_metrics():
+    argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "series_compare",
+            "--seed", "1", "--seconds", "0.2", "--trace", "0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] >= 1
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    want = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    assert {name: m["unit"] for name, m in result["metrics"].items()} == want

@@ -240,6 +240,15 @@ def test_ga_eps_env_changes_branch(capsys, monkeypatch):
     assert json.loads(out_loose)["branch"] == "both-degenerate"
 
 
+def test_overflow_and_bad_ga_eps_exit_cleanly(capsys, monkeypatch):
+    code, out, err = _run(capsys, ["eval", "--fn", "exp", "--mv", "800,1,0,0,0,0,0,0"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
+    monkeypatch.setenv("GA_EPS", "tiny")
+    code, _, err = _run(capsys, ["eval", "--fn", "exp", "--mv", "0,1,0,0,0,0,0,0"])
+    assert code == 1 and err.startswith("error: GA_EPS") and len(err.splitlines()) == 1
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cl3.cli", "eval", "--fn", "exp", "--mv", "0,0,0,0,0,0,0,0"],

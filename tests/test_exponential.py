@@ -10,9 +10,11 @@ from cl3 import (
     ExpBranch,
     MixedGradeInputError,
     Multivector,
+    NonFiniteError,
     SeriesFamily,
     SeriesSpec,
     Signature,
+    ToleranceError,
     blade,
     exp,
     exp_factors,
@@ -359,3 +361,16 @@ def test_cl03_large_scale_matches_expm(s):
     want = scipy.linalg.expm(_left_regular(x))[:, 0]
     # scipy's scaling and squaring itself drifts by ~4e-9 at s = 1e7.
     assert max_err(exp(x), want) <= 1e-7 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "nan", "inf", "-1e-3"])
+def test_bad_ga_eps_is_a_typed_error(raw, monkeypatch):
+    monkeypatch.setenv("GA_EPS", raw)
+    with pytest.raises(ToleranceError, match="GA_EPS"):
+        exp(blade(Signature.CL30, "e1"))
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_exp_overflow_is_a_typed_error(sig):
+    with pytest.raises(NonFiniteError):
+        exp(Multivector(sig, [800, 1, 0, 0, 0, 0, 0, 0]))

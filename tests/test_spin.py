@@ -204,3 +204,13 @@ def test_csv_format_and_roundtrip():
     for line, t, b, p in zip(lines[1:6], trace.times, trace.b0, trace.p_down):
         ft, fb, fp = (float(v) for v in line.split(","))
         assert (ft, fb, fp) == (t, b, p)
+
+
+def test_traces_share_the_ramp_grid():
+    sweep = RampSweep(-2.0, 2.0, 500.0, 11, omega=1.0, omega1=0.05)
+    stepped = sweep_ramp(sweep, -1, method="stepped")
+    closed = sweep_ramp(sweep, -1, method="closed")
+    assert stepped.times is closed.times is sweep.grid[0]
+    assert stepped.b0 is closed.b0 is sweep.grid[1]
+    assert not stepped.times.flags.writeable and not stepped.b0.flags.writeable
+    assert stepped.times.tolist() == np.linspace(0.0, 500.0, 11).tolist()

@@ -1,12 +1,17 @@
 """Core multivector arithmetic: products, involutions, determinant, inverse."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cl3
 from cl3 import (
     Cl3Error,
     EVEN_BLADE_NAMES,
@@ -315,3 +320,29 @@ def test_overflowing_product_is_rejected():
         Multivector(Signature.CL30, (0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0))
     # Huge but finite coefficients are accepted.
     assert Multivector(Signature.CL30, (1e308,) * 8).t == (1e308,) * 8
+
+
+_CORRUPT_KERNEL = """
+from cl3 import Multivector, Signature, determinant
+from cl3.algebra import _PRODUCTS
+
+kernel = _PRODUCTS[Signature.CL30]
+
+def corrupt(a, b):
+    out = list(kernel(a, b))
+    out[3] += 0.5 * a[1] * b[4]
+    return tuple(out)
+
+_PRODUCTS[Signature.CL30] = corrupt
+print(determinant(Multivector(Signature.CL30, (0.3, 1, -0.5, 0.2, 0.7, -0.1, 0.4, 0.9))))
+"""
+
+
+def test_residue_check_survives_python_O():
+    # A corrupted product table must still be caught when -O strips asserts.
+    env = dict(os.environ, PYTHONPATH=str(Path(cl3.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_KERNEL], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "AssertionError: non-scalar residue" in proc.stderr

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -363,11 +364,42 @@ def test_cl03_large_scale_matches_expm(s):
     assert max_err(exp(x), want) <= 1e-7 * np.abs(want).max()
 
 
+def test_cl30_large_scale_near_nilpotent_matches_mpmath(rng):
+    # x = s*e1 + sqrt(s^2 - 2500)*e12 has (a + A)^2 = 2500 at every scale s,
+    # so exp(x) grows like e^50 * s and is nowhere near 1 + x.
+    for s in (1e3, 1e5, 1e7):
+        c = np.zeros(8)
+        c[1], c[4] = s, math.sqrt(s * s - 2500.0)
+        x = Multivector(Signature.CL30, c)
+        assert exp_factors(x).branch is ExpBranch.MINUS_DEGENERATE
+    # scipy's expm is off by ~100% here; the input's own conditioning
+    # (~1e12) caps any float64 result near 4 digits.
+    with mpmath.workdps(30):
+        col = mpmath.expm(mpmath.matrix(_left_regular(x).tolist()))[:, 0]
+        want = np.array([float(v) for v in col])
+    assert max_err(exp(x), want) <= 1e-3 * np.abs(want).max()
+    # A nilpotent vector+bivector part stays nilpotent at every scale.
+    for sig in (Signature.CL30, Signature.CL12):
+        n = null_vector_bivector(rng, sig)
+        for k in range(-6, 7):
+            assert exp_factors(n * 10.0**k).branch is ExpBranch.BOTH_DEGENERATE
+
+
+def test_exp_ignores_ga_eps(monkeypatch):
+    # GA_EPS=1e-3 labels this near-nilpotent input both-degenerate; the
+    # exponential itself has no tolerance and must not change.
+    x = Multivector(Signature.CL30, [0.0, 1, 0, 0, 1, 0, 1e-4, 0.0])
+    default = exp(x).t
+    monkeypatch.setenv("GA_EPS", "1e-3")
+    assert exp_factors(x).branch is ExpBranch.BOTH_DEGENERATE
+    assert exp(x).t == default
+
+
 @pytest.mark.parametrize("raw", ["abc", "", "nan", "inf", "-1e-3"])
 def test_bad_ga_eps_is_a_typed_error(raw, monkeypatch):
     monkeypatch.setenv("GA_EPS", raw)
     with pytest.raises(ToleranceError, match="GA_EPS"):
-        exp(blade(Signature.CL30, "e1"))
+        exp_factors(blade(Signature.CL30, "e1"))
 
 
 @pytest.mark.parametrize("sig", ALL_SIGS)

@@ -52,8 +52,8 @@ x = Multivector(Signature.CL21, [0.0, 0.4, 0.3, 1.5, 0.5, -0.3, 0.4, 0.2])
 f = exp_factors(x)
 print("cl21 example:", render_mv(x))
 print(f"  branch {f.branch.value}: factor squares {f.a_plus_sq:+.4f} / {f.a_minus_sq:+.4f}")
-print("  (one factor square vanishing selects the limit form; a negative one")
-print("   swaps the hyperbolic functions for trigonometric ones)")
+print("  (the label only marks a vanishing factor square: exp has one formula for every")
+print("   branch, and a negative square turns its hyperbolic functions trigonometric)")
 print()
 
 print("== nilpotent arguments terminate after the linear term ==")

@@ -325,7 +325,8 @@ def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
 
     The four-factor product x * rev(x) * gradeinv(x) * gradeinv(rev(x)) must
     be a scalar; a residue above tolerance means the sign tables are corrupt,
-    so it is asserted rather than silently projected away.
+    so it raises ``AssertionError`` (also under ``python -O``) rather than
+    being silently projected away.
     """
     rev = involute(x, InvolutionKind.REVERSE)
     gi = involute(x, InvolutionKind.GRADE_INVERSE)
@@ -334,9 +335,8 @@ def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
     prod = geometric_product(x, adj).t
     scale = sum(map(abs, x.t)) ** 4
     residue = max(map(abs, prod[1:]))
-    assert residue <= _RESIDUE_TOL * max(scale, 1.0), (
-        f"non-scalar residue {residue:.3e} in determinant product"
-    )
+    if residue > _RESIDUE_TOL * max(scale, 1.0):
+        raise AssertionError(f"non-scalar residue {residue:.3e} in determinant product")
     return adj, prod[0]
 
 

@@ -8,6 +8,7 @@ a_r + a_p*e123 exist under algebra-specific conditions.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -70,16 +71,14 @@ def sqrt_center(c: CenterElement, sig: Signature) -> list[CenterElement]:
     """
     a_s, a_i = c.a_s, c.a_i
     if sig.i_square == -1:
-        radius = math.hypot(a_s, a_i)
-        # a_s + radius cancels badly for a_s < 0; rewrite via the conjugate.
-        base = a_s + radius if a_s >= 0.0 else (a_i * a_i) / (radius - a_s)
-        if base <= 0.0:
+        # The center is the complex plane; a root on the e123 axis (real
+        # part 0) is not isolated.
+        root = cmath.sqrt(complex(a_s, a_i))
+        if root.real <= 0.0:
             raise NoIsolatedRootError(
                 f"center {a_s:.6g} + {a_i:.6g}*e123 has no isolated root in {sig.name}"
             )
-        denom = math.sqrt(2.0 * base)
-        root = CenterElement(base / denom, a_i / denom)
-        return [root, CenterElement(-root.a_s, -root.a_i)]
+        return [CenterElement(root.real, root.imag), CenterElement(-root.real, -root.imag)]
 
     disc = (a_s - a_i) * (a_s + a_i)
     roots: list[CenterElement] = []

@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cl3",
         description="Geometric-algebra special functions in the four 3D Clifford algebras.",
-        epilog="Set GA_EPS to override the degeneracy tolerance multiplier (default 1e-12).",
+        epilog="GA_EPS (default 1e-12) sets only the branch label of --fn exp-factors; exp has no tolerance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,15 +1,22 @@
 """Closed-form exponential of a general multivector in all four 3D algebras.
 
-Each algebra has its own expansion; there is no generic fallback.  The
-CL30/CL12 pair shares one formula body with a signature sign ``u`` (+1 for
-CL30, -1 for CL12).  Degenerate factor values are detected with a
-scale-aware tolerance whose multiplier can be overridden through the
-``GA_EPS`` environment variable (default 1e-12); the sinc-type ratios
-switch to short Maclaurin polynomials near zero, at fixed points.
+The square z = (a + A)^2 of the vector + bivector part lies in the center
+span{1, e123}, so exp(a0 + a + A + a123*e123) is
+e^{a0} * e^{a123*e123} * (C(z) + S(z)*(a + A)) with the entire functions
+C(z) = cosh(sqrt z) and S(z) = sinh(sqrt z)/sqrt z.  There is one body per
+center type: where e123^2 = -1 (CL30, CL12) the center is the complex
+plane; where e123^2 = +1 (CL03, CL21) it splits into the two real halves
+(1 +/- e123)/2.  ``exp`` has no tolerance and no branches: C and S switch
+to short Maclaurin polynomials near zero, at fixed points.
+
+``exp_factors`` reports the factor pair and a branch label for diagnosis
+only; the ``GA_EPS`` environment variable (default 1e-12) sets the
+tolerance of that label and nothing else.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import os
@@ -42,11 +49,11 @@ def _eps_multiplier(raw: str) -> float:
 
 
 def degeneracy_eps(x: Multivector) -> float:
-    """Threshold below which a branch factor counts as zero.
+    """Threshold below which ``exp_factors`` labels a factor square as zero.
 
-    Scales with the squared size of the vector+bivector part so that branch
-    selection is invariant under overall rescaling of small inputs.  The
-    multiplier is read from ``GA_EPS`` on every call (default 1e-12).
+    Scales with the squared size of the vector+bivector part, so the label
+    does not depend on the input's overall scale.  The multiplier is read
+    from ``GA_EPS`` on every call (default 1e-12); ``exp`` never reads it.
     """
     _, a1, a2, a3, a12, a13, a23, _ = x.t
     ss = a1 * a1 + a2 * a2 + a3 * a3 + a12 * a12 + a13 * a13 + a23 * a23
@@ -62,13 +69,14 @@ class ExpBranch(enum.Enum):
 
 @dataclass(frozen=True)
 class ExpFactors:
-    """Per-algebra scalar factors feeding the closed-form exponential.
+    """Per-algebra factor pair of the closed-form exponential, for diagnosis.
 
-    CL03 carries non-negative ``a_plus``/``a_minus``; CL30/CL12 carry a
-    non-negative ``a_plus``, a signed ``a_minus`` and ``c_norm`` =
-    a_plus^2 + a_minus^2; CL21 carries only the signed squares (the mixed
-    trig/hyperbolic ratios are evaluated from the squares directly, never
-    from a square root that might not exist).
+    CL03 carries non-negative ``a_plus``/``a_minus`` (the exponential is
+    trigonometric in both); CL30/CL12 carry the root a_plus + a_minus*e123
+    of (a + A)^2 with a non-negative ``a_plus``, and ``c_norm`` =
+    a_plus^2 + a_minus^2; CL21 carries only the signed squares.  ``branch``
+    names the factor squares within ``degeneracy_eps`` of zero; ``exp``
+    itself does not read it.
     """
 
     sig: Signature
@@ -90,59 +98,56 @@ def _branch(plus_zero: bool, minus_zero: bool) -> ExpBranch:
     return ExpBranch.GENERIC
 
 
+_SQUARES = {sig: tuple(map(float, sig.squares)) for sig in Signature}
+
+
+def _halves(t: tuple, s1: float, s2: float, s3: float) -> tuple:
+    """Vectors d+ = (p1, p2, p3) and d- = (m1, m2, m3) that a + A becomes on
+    the halves (1 +/- e123)/2, then their signed squares z+ and z-.
+
+    Needs e123^2 = +1 (CL03, CL21), where e23, e13, e12 are s1*e123*e1,
+    -s2*e123*e2 and s3*e123*e3 for the generator squares s1, s2, s3.
+    """
+    _, a1, a2, a3, a12, a13, a23, _ = t
+    p1, p2, p3 = a1 + s1 * a23, a2 - s2 * a13, a3 + s3 * a12
+    m1, m2, m3 = a1 - s1 * a23, a2 + s2 * a13, a3 - s3 * a12
+    return (
+        p1, p2, p3, m1, m2, m3,
+        s1 * p1 * p1 + s2 * p2 * p2 + s3 * p3 * p3,
+        s1 * m1 * m1 + s2 * m2 * m2 + s3 * m3 * m3,
+    )
+
+
 def exp_factors(x: Multivector) -> ExpFactors:
-    """Branch factors of the closed-form exponential of ``x``."""
+    """Factor pair of the closed-form exponential of ``x`` and its branch label."""
     sig = x.sig
     eps = degeneracy_eps(x)
-    _, a1, a2, a3, a12, a13, a23, _ = x.t
-
-    if sig is Signature.CL03:
-        aps = (a3 - a12) ** 2 + (a2 + a13) ** 2 + (a1 - a23) ** 2
-        ams = (a3 + a12) ** 2 + (a2 - a13) ** 2 + (a1 + a23) ** 2
-        branch = _branch(aps <= eps, ams <= eps)
-        return ExpFactors(sig, branch, aps, ams, math.sqrt(aps), math.sqrt(ams))
-
+    if sig.i_square == -1:
+        ce = center_decompose(x)
+        # + 0.0 turns a_i = -0.0 into +0.0, so that a negative real square
+        # gets the root +sqrt(-a_s)*e123.
+        root = cmath.sqrt(complex(ce.a_s, ce.a_i + 0.0))
+        ap, am = root.real, root.imag
+        aps, ams = ap * ap, am * am
+        return ExpFactors(sig, _branch(aps <= eps, ams <= eps), aps, ams, ap, am, aps + ams)
+    *_, aps, ams = _halves(x.t, *_SQUARES[sig])
+    branch = _branch(abs(aps) <= eps, abs(ams) <= eps)
     if sig is Signature.CL21:
-        aps = -((a3 - a12) ** 2) + (a2 - a13) ** 2 + (a1 + a23) ** 2
-        ams = -((a3 + a12) ** 2) + (a2 + a13) ** 2 + (a1 - a23) ** 2
-        return ExpFactors(sig, _branch(abs(aps) <= eps, abs(ams) <= eps), aps, ams)
-
-    # CL30 / CL12
-    ce = center_decompose(x)
-    a_s, a_i = ce.a_s, ce.a_i
-    if abs(a_i) <= eps:
-        if a_s > eps:
-            ap, am = math.sqrt(a_s), 0.0
-        elif a_s < -eps:
-            ap, am = 0.0, math.sqrt(-a_s)
-        else:
-            ap, am = 0.0, 0.0
-    else:
-        radius = math.hypot(a_s, a_i)
-        # a_s + radius cancels for a_s < 0; use the conjugate form there.
-        base = a_s + radius if a_s >= 0.0 else (a_i * a_i) / (radius - a_s)
-        ap = math.sqrt(0.5 * base)
-        am = a_i / math.sqrt(2.0 * base)
-    c_norm = ap * ap + am * am
-    branch = _branch(ap <= eps, abs(am) <= eps)
-    return ExpFactors(sig, branch, ap * ap, am * am, ap, am, c_norm)
+        return ExpFactors(sig, branch, aps, ams)
+    # CL03: every vector squares negative, so the halves are rotations.
+    return ExpFactors(sig, branch, -aps, -ams, math.sqrt(-aps), math.sqrt(-ams))
 
 
 # Each Maclaurin polynomial below is used where its first dropped term
-# (t^8/9!, s^4/9!, s^4/8!) is under one ulp of the leading 1: fixed switch
-# points, independent of the input's scale and of GA_EPS.
-def _sinc(t: float) -> float:
-    """sin(t)/t, with a 4-term Maclaurin polynomial near zero."""
-    if abs(t) <= 0.05:
-        s = t * t
-        return 1.0 - s / 6.0 + s * s / 120.0 - s * s * s / 5040.0
-    return math.sin(t) / t
-
-
-def _si(s: float) -> float:
-    """sinh(sqrt(s))/sqrt(s) continued through s <= 0 (signed square argument)."""
+# (s^5/11!, s^5/10!) is below 1e-20: fixed switch points, independent of
+# the input's scale and of GA_EPS.  Horner order adds the leading 1 last.
+def _si(s):
+    """sinh(sqrt(s))/sqrt(s), an entire function of a real or complex s."""
     if abs(s) <= 2.5e-3:
-        return 1.0 + s / 6.0 + s * s / 120.0 + s * s * s / 5040.0
+        return 1.0 + s * (1.0 / 6.0 + s * (1.0 / 120.0 + s * (1.0 / 5040.0 + s * (1.0 / 362880.0))))
+    if type(s) is complex:
+        r = cmath.sqrt(s)
+        return cmath.sinh(r) / r
     if s > 0.0:
         r = math.sqrt(s)
         return math.sinh(r) / r
@@ -150,90 +155,55 @@ def _si(s: float) -> float:
     return math.sin(r) / r
 
 
-def _co(s: float) -> float:
-    """cosh(sqrt(s)) continued through s <= 0 (signed square argument)."""
+def _co(s):
+    """cosh(sqrt(s)), an entire function of a real or complex s."""
     if abs(s) <= 1.4e-3:
-        return 1.0 + s / 2.0 + s * s / 24.0 + s * s * s / 720.0
+        return 1.0 + s * (0.5 + s * (1.0 / 24.0 + s * (1.0 / 720.0 + s * (1.0 / 40320.0))))
+    if type(s) is complex:
+        return cmath.cosh(cmath.sqrt(s))
     if s > 0.0:
         return math.cosh(math.sqrt(s))
     return math.cos(math.sqrt(-s))
 
 
-def _exp_cl03(x: Multivector) -> Multivector:
-    a0, a1, a2, a3, a12, a13, a23, a123 = x.t
-    dp1, dp2, dp3 = a1 - a23, a2 + a13, a3 - a12
-    dm1, dm2, dm3 = a1 + a23, a2 - a13, a3 + a12
-    ap = math.sqrt(dp1 * dp1 + dp2 * dp2 + dp3 * dp3)
-    am = math.sqrt(dm1 * dm1 + dm2 * dm2 + dm3 * dm3)
-    ep, em = math.exp(a123), math.exp(-a123)
-    cp, cm = math.cos(ap), math.cos(am)
-    sp, sm = _sinc(ap), _sinc(am)
+def _exp_split(x: Multivector) -> Multivector:
+    """exp where e123^2 = +1: one real exponential on each idempotent half."""
+    sig, t = x.sig, x.t
+    s1, s2, s3 = _SQUARES[sig]
+    p1, p2, p3, m1, m2, m3, zp, zm = _halves(t, s1, s2, s3)
+    a0, a123 = t[0], t[7]
     half = 0.5 * math.exp(a0)
-    return Multivector(x.sig, (
-        half * (ep * cp + em * cm),
-        half * (ep * dp1 * sp + em * dm1 * sm),
-        half * (ep * dp2 * sp + em * dm2 * sm),
-        half * (ep * dp3 * sp + em * dm3 * sm),
-        half * (-ep * dp3 * sp + em * dm3 * sm),
-        half * (ep * dp2 * sp - em * dm2 * sm),
-        half * (-ep * dp1 * sp + em * dm1 * sm),
-        half * (ep * cp - em * cm),
+    ep, em = half * math.exp(a123), half * math.exp(-a123)
+    cp, cm = ep * _co(zp), em * _co(zm)
+    sp, sm = ep * _si(zp), em * _si(zm)
+    return Multivector(sig, (
+        cp + cm,
+        sp * p1 + sm * m1,
+        sp * p2 + sm * m2,
+        sp * p3 + sm * m3,
+        s3 * (sp * p3 - sm * m3),
+        -s2 * (sp * p2 - sm * m2),
+        s1 * (sp * p1 - sm * m1),
+        cp - cm,
     ))
 
 
-def _exp_cl30_cl12(x: Multivector, u: float) -> Multivector:
+def _exp_complex(x: Multivector) -> Multivector:
+    """exp where e123^2 = -1: the center is the complex plane, e123 = i."""
+    sig = x.sig
+    prod = _PRODUCTS[sig]
     a0, a1, a2, a3, a12, a13, a23, a123 = x.t
-    factors = exp_factors(x)
-    scale = math.exp(a0)
-    ca, sa = math.cos(a123), math.sin(a123)
-
-    if factors.branch is ExpBranch.BOTH_DEGENERATE:
-        # (a + A)^2 = 0: the vector+bivector part is nilpotent, so the
-        # exponential factors exactly into e^{a0} (cos a123 + e123 sin a123)
-        # times (1 + a + A).
-        center = (scale * ca, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, scale * sa)
-        nil = (1.0, a1, a2, a3, a12, a13, a23, 0.0)
-        return Multivector(x.sig, _PRODUCTS[x.sig](center, nil))
-
-    ap, am, cn = factors.a_plus, factors.a_minus, factors.c_norm
-    chp, shp = math.cosh(ap), math.sinh(ap)
-    cm_, sm_ = math.cos(am), math.sin(am)
-
-    b0 = ca * cm_ * chp - sa * sm_ * shp
-    b123 = sa * cm_ * chp + ca * sm_ * shp
-
-    out = [scale * b0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, scale * b123]
-
-    # Vector/bivector pairs (a1, a23), (a2, a13), (a3, a12) share one body;
-    # s is the pair sign and biv_idx the partner output slot.
-    for vec_idx, biv_idx, s, v, w in ((1, 6, 1.0, a1, a23), (2, 5, -u, a2, a13), (3, 4, u, a3, a12)):
-        big_x = am * v - s * ap * w
-        big_y = ap * v + s * am * w
-        f = chp * sm_ * (big_x * ca - big_y * sa) + shp * cm_ * (big_y * ca + big_x * sa)
-        g = chp * sm_ * (big_y * ca + big_x * sa) + shp * cm_ * (big_y * sa - big_x * ca)
-        out[vec_idx] = scale * f / cn
-        out[biv_idx] = scale * s * g / cn
-    return Multivector(x.sig, tuple(out))
+    y = (0.0, a1, a2, a3, a12, a13, a23, 0.0)
+    yy = prod(y, y)
+    z = complex(yy[0], yy[7])
+    e = cmath.rect(math.exp(a0), a123)
+    c, s = e * _co(z), e * _si(z)
+    # s * y has no scalar or pseudoscalar part; e * C fills those two slots.
+    sy = prod((s.real, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s.imag), y)
+    return Multivector(sig, (c.real, *sy[1:7], c.imag))
 
 
-def _exp_cl21(x: Multivector) -> Multivector:
-    a0, a1, a2, a3, a12, a13, a23, a123 = x.t
-    aps = -((a3 - a12) ** 2) + (a2 - a13) ** 2 + (a1 + a23) ** 2
-    ams = -((a3 + a12) ** 2) + (a2 + a13) ** 2 + (a1 - a23) ** 2
-    ep, em = math.exp(a123), math.exp(-a123)
-    cop, com = _co(aps), _co(ams)
-    sip, sim = _si(aps), _si(ams)
-    half = 0.5 * math.exp(a0)
-    return Multivector(x.sig, (
-        half * (ep * cop + em * com),
-        half * (ep * (a1 + a23) * sip + em * (a1 - a23) * sim),
-        half * (ep * (a2 - a13) * sip + em * (a2 + a13) * sim),
-        half * (ep * (a3 - a12) * sip + em * (a3 + a12) * sim),
-        half * (-ep * (a3 - a12) * sip + em * (a3 + a12) * sim),
-        half * (-ep * (a2 - a13) * sip + em * (a2 + a13) * sim),
-        half * (ep * (a1 + a23) * sip - em * (a1 - a23) * sim),
-        half * (ep * cop - em * com),
-    ))
+_BODIES = {sig: _exp_split if sig.i_square == 1 else _exp_complex for sig in Signature}
 
 
 def exp(x: Multivector) -> Multivector:
@@ -241,16 +211,11 @@ def exp(x: Multivector) -> Multivector:
 
     Raises ``NonFiniteError`` when the result overflows double precision.
     """
-    sig = x.sig
     try:
-        if sig is Signature.CL03:
-            return _exp_cl03(x)
-        if sig is Signature.CL30:
-            return _exp_cl30_cl12(x, 1.0)
-        if sig is Signature.CL12:
-            return _exp_cl30_cl12(x, -1.0)
-        return _exp_cl21(x)
-    except OverflowError:
+        return _BODIES[x.sig](x)
+    except (OverflowError, NonFiniteError):
+        # A complex product overflows to inf without raising; the
+        # constructor's finiteness check catches it.
         raise NonFiniteError(f"exp of {x!r} overflows double precision") from None
 
 

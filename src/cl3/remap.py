@@ -92,8 +92,9 @@ def _solve_table(name, src, dst, src_masks, src_squares, dst_sig, pairs):
     correspondence.  The images of the destination generators e1, e2, e3
     determine everything else by multiplication in the source algebra; the
     first generator sign combination mapping the pseudoscalar slot with +1
-    wins.  Pair slots are asserted against the derived ones, so a
-    transcription slip cannot survive import.
+    wins.  Pair slots are checked against the derived ones (an explicit
+    raise, kept under ``python -O``), so a transcription slip cannot
+    survive import.
     """
     src_labels = BLADE_NAMES if src in ("cl30", "cl12") else EVEN_BLADE_NAMES
     dst_labels = BLADE_NAMES
@@ -106,12 +107,14 @@ def _solve_table(name, src, dst, src_masks, src_squares, dst_sig, pairs):
     for k in range(3):
         m = src_masks[gen_slots[k]]
         _, sq = blade_product(m, m, src_squares)
-        assert sq == dsq[k], f"{name}: generator image square mismatch for e{k + 1}"
+        if sq != dsq[k]:
+            raise AssertionError(f"{name}: generator image square mismatch for e{k + 1}")
         for other in gen_slots[:k]:
             mo = src_masks[other]
             _, s_ab = blade_product(mo, m, src_squares)
             _, s_ba = blade_product(m, mo, src_squares)
-            assert s_ab == -s_ba, f"{name}: generator images do not anticommute"
+            if s_ab != -s_ba:
+                raise AssertionError(f"{name}: generator images do not anticommute")
 
     for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
                   (1, -1, -1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)):
@@ -132,10 +135,11 @@ def _solve_table(name, src, dst, src_masks, src_squares, dst_sig, pairs):
             continue
         for dst_lbl, want_slot in expected.items():
             got_slot = images[dst_labels.index(dst_lbl)][0]
-            assert got_slot == want_slot, (
-                f"{name}: slot for {dst_lbl} derived as "
-                f"{src_labels[got_slot]}, table says {src_labels[want_slot]}"
-            )
+            if got_slot != want_slot:
+                raise AssertionError(
+                    f"{name}: slot for {dst_lbl} derived as "
+                    f"{src_labels[got_slot]}, table says {src_labels[want_slot]}"
+                )
         src_slot = tuple(images[i][0] for i in range(8))
         sign = tuple(images[i][1] for i in range(8))
         return RemapTable(name, src, dst, src_labels, dst_labels, src_slot, sign)

@@ -245,7 +245,7 @@ def test_overflow_and_bad_ga_eps_exit_cleanly(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
     monkeypatch.setenv("GA_EPS", "tiny")
-    code, _, err = _run(capsys, ["eval", "--fn", "exp", "--mv", "0,1,0,0,0,0,0,0"])
+    code, _, err = _run(capsys, ["eval", "--fn", "exp-factors", "--mv", "0,1,0,0,0,0,0,0"])
     assert code == 1 and err.startswith("error: GA_EPS") and len(err.splitlines()) == 1
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .exceptions import NonFiniteError, NonInvertibleError, NormUndefinedError, SignatureMismatchError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BLADE_NAMES",
@@ -63,25 +64,17 @@ class Signature(enum.Enum):
     CL12 = (1, 2)
     CL21 = (2, 1)
 
-    @property
-    def p(self) -> int:
-        return self.value[0]
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent and keeps dict lookups keyed by a signature cheap.
+    __hash__ = object.__hash__
 
-    @property
-    def q(self) -> int:
-        return self.value[1]
-
-    @property
-    def squares(self) -> tuple[int, int, int]:
-        """Squares of (e1, e2, e3); the first p generators are positive."""
-        p = self.value[0]
-        return tuple(1 if i < p else -1 for i in range(3))
-
-    @property
-    def i_square(self) -> int:
-        """Square of the pseudoscalar e123 (-1 for CL30/CL12, +1 for CL03/CL21)."""
-        s = self.squares
-        return -s[0] * s[1] * s[2]
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
+        # Squares of (e1, e2, e3); the first p generators are positive.
+        self.squares = tuple(1 if i < p else -1 for i in range(3))
+        # Square of the pseudoscalar e123 (-1 for CL30/CL12, +1 for CL03/CL21).
+        self.i_square = -self.squares[0] * self.squares[1] * self.squares[2]
 
     @classmethod
     def from_name(cls, name: str) -> "Signature":
@@ -152,6 +145,8 @@ _PRODUCTS = {sig: _product_kernel(_BLADE_MASKS, sig.squares) for sig in Signatur
 
 def sign_table(sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     """(target index, sign) arrays of the 8x8 blade product table."""
+    import numpy as np
+
     table = np.array(_blade_table(_BLADE_MASKS, sig.squares), dtype=np.int8)
     return table[:, :, 0].copy(), table[:, :, 1].copy()
 
@@ -169,6 +164,8 @@ class Multivector:
         if type(coeffs) is tuple and len(coeffs) == 8:
             coeffs = tuple(map(float, coeffs))
         else:
+            import numpy as np
+
             coeffs = tuple(np.asarray(coeffs, dtype=float).reshape(8).tolist())
         if not all(map(math.isfinite, coeffs)):
             raise NonFiniteError("multivector coefficients must be finite")
@@ -180,6 +177,8 @@ class Multivector:
     def c(self) -> np.ndarray:
         c = self._c
         if c is None:
+            import numpy as np
+
             c = np.array(self.t)
             c.flags.writeable = False
             self._c = c

@@ -13,8 +13,6 @@ import json
 import re
 import sys
 
-import numpy as np
-
 from .algebra import (
     _render,
     BLADE_NAMES,
@@ -47,7 +45,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)|(?P<nam
 
 
 def _parse_terms(text: str, sig: Signature) -> Multivector:
-    coeffs = np.zeros(8)
+    coeffs = [0.0] * 8
     pos = 0
     n = len(text)
     sign = 1.0
@@ -97,7 +95,7 @@ def _parse_terms(text: str, sig: Signature) -> Multivector:
         expect_term = False
     if expect_term:
         raise MVParseError("dangling sign at end of input", column=n)
-    return Multivector(sig, coeffs)
+    return Multivector(sig, tuple(coeffs))
 
 
 def _blade_index(name: str, pos: int) -> int:
@@ -122,20 +120,21 @@ def parse_mv(text: str, sig: Signature = Signature.CL30) -> Multivector:
         parts = body.split(",")
         if len(parts) != 8:
             raise MVParseError(f"expected 8 comma-separated coefficients, got {len(parts)}")
-        coeffs = np.empty(8)
+        coeffs = []
         col = 1
-        for i, part in enumerate(parts):
+        for part in parts:
             try:
-                coeffs[i] = float(part)
+                coeffs.append(float(part))
             except ValueError:
                 raise MVParseError(f"bad coefficient {part.strip()!r}", column=col) from None
             col += len(part) + 1
         if divisor.strip():
             try:
-                coeffs /= float(divisor)
-            except ValueError:
+                scale = float(divisor)
+                coeffs = [v / scale for v in coeffs]
+            except (ValueError, ZeroDivisionError):
                 raise MVParseError(f"bad scale divisor {divisor.strip()!r}") from None
-        return Multivector(sig, coeffs)
+        return Multivector(sig, tuple(coeffs))
     return _parse_terms(text, sig)
 
 
@@ -147,7 +146,7 @@ def render_mv(mv: Multivector, digits: int = 8) -> str:
 def _mv_json(mv: Multivector) -> dict:
     return {
         "algebra": mv.sig.name.lower(),
-        "coeffs": [float(v) for v in mv.c],
+        "coeffs": list(mv.t),
         "basis": list(BLADE_NAMES),
     }
 
@@ -251,7 +250,7 @@ def _cmd_compare(args) -> int:
         raise Cl3Error(f"--fn {args.fn} has no series family to compare against")
     closed = _closed_form(args.fn, mv)
     approx, delta = series_eval(mv, SeriesSpec(_SERIES_FAMILIES[args.fn], args.terms), return_last_term=True)
-    max_delta = float(np.abs(closed.c - approx.c).max())
+    max_delta = max(abs(a - b) for a, b in zip(closed.t, approx.t))
     if delta > _CONVERGENCE_WARN:
         print(
             f"warning: last series term still moves coefficients by {delta:.3g}; "
@@ -263,8 +262,8 @@ def _cmd_compare(args) -> int:
             "algebra": sig.name.lower(),
             "fn": args.fn,
             "terms": args.terms,
-            "closed": [float(v) for v in closed.c],
-            "series": [float(v) for v in approx.c],
+            "closed": list(closed.t),
+            "series": list(approx.t),
             "max_delta": max_delta,
             "basis": list(BLADE_NAMES),
         }))

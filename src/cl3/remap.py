@@ -10,8 +10,7 @@ generator images, normalized so the pseudoscalar slot maps positively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import (
     _BLADE_MASKS,
@@ -21,6 +20,9 @@ from .algebra import (
     Signature,
     blade_product,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EVEN_BLADE_NAMES",
@@ -48,6 +50,8 @@ class EvenMultivector:
     c: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         if self.algebra not in _EVEN_SQUARES:
             raise ValueError(f"algebra must be 'cl13' or 'cl31', got {self.algebra!r}")
         c = np.array(self.c, dtype=float).reshape(8)

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import Multivector, Signature, blade, geometric_product, grade_select
 from .exponential import exp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FieldConfig",
@@ -112,9 +114,9 @@ def _project_down(psi: Multivector) -> float:
     projection onto the down eigenstate e13."""
     e13 = blade(_SIG, "e13")
     e12 = blade(_SIG, "e12")
-    s = grade_select(geometric_product(e13, psi), 0).c[0]
-    c = grade_select(geometric_product(geometric_product(e13, psi), e12), 0).c[0]
-    return float(s * s + c * c)
+    s = grade_select(geometric_product(e13, psi), 0).t[0]
+    c = grade_select(geometric_product(geometric_product(e13, psi), e12), 0).t[0]
+    return s * s + c * c
 
 
 def down_probability_projected(cfg: FieldConfig, t: float) -> float:
@@ -143,6 +145,8 @@ class RampSweep:
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only sample times and static-field values, computed once and
         shared by every trace of this ramp."""
+        import numpy as np
+
         times = np.linspace(0.0, self.duration, self.samples)
         b0 = np.linspace(self.b0_start, self.b0_end, self.samples)
         times.flags.writeable = False
@@ -157,6 +161,8 @@ class ProbabilityTrace:
     p_down: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         for name in ("times", "b0", "p_down"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
@@ -178,6 +184,8 @@ def sweep_ramp(sweep: RampSweep, sigma: int, method: str = "closed") -> Probabil
     instead propagates the spinor across the samples with b0 held constant
     on each interval, as an independent cross-check.
     """
+    import numpy as np
+
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be -1 or +1, got {sigma}")
     times, b0 = sweep.grid

@@ -37,9 +37,10 @@ def series_exp(x, order=30):
 def _expanded_cl30_cl12(x, u):
     """Verbatim per-sign transcription of the CL30/CL12 expansion.
 
-    The library evaluates one shared formula body with a sign parameter;
-    this transcription resolves every +/- pair by hand (upper signs u=+1,
-    lower u=-1) so a slip in the shared encoding cannot hide.
+    The library evaluates CL30 and CL12 with one body on the complex
+    center (e123 = i, C and S of z = (a + A)^2, products through the
+    compiled kernel); this transcription resolves every +/- pair by hand
+    (upper signs u=+1, lower u=-1) so a slip in that body cannot hide.
     """
     a0, a1, a2, a3, a12, a13, a23, a123 = (float(v) for v in x.c)
     f = exp_factors(x)

@@ -241,6 +241,23 @@ def test_non_invertible_carries_partial_results():
     assert isinstance(exc.value.adjugate, Multivector)
 
 
+def test_determinant_and_inverse_past_the_fourth_power_range():
+    # sum |c| = 1.4e77, so (sum |c|)^4 lies past the float range, although
+    # every product the determinant and the inverse form is finite.
+    cl30 = Signature.CL30
+    base = Multivector(cl30, (3, 1, 2, 1, 2, 1, 3, 1))
+    x = base * 1e76
+    assert determinant(base) == 256.0
+    assert determinant(x) == pytest.approx(2.56e306, rel=1e-12)
+    assert det_norm(x) == pytest.approx(4e76, rel=1e-12)
+    got = inverse(x)
+    assert got.determinant == pytest.approx(2.56e306, rel=1e-12)
+    assert max_err(got.inverse * 1e76, inverse(base).inverse) <= 1e-15
+    # The singular cutoff still applies at that scale.
+    with pytest.raises(NonInvertibleError):
+        inverse((Multivector.scalar(cl30, 1.0) + blade(cl30, "e1")) * 1e77)
+
+
 def test_det_norm_reference():
     x = Multivector(Signature.CL30, REF_COEFFS)
     assert abs(det_norm(x) - REF_DET ** 0.25) < 1e-10

@@ -210,6 +210,27 @@ def test_spin_csv_written(tmp_path, capsys):
     assert abs(peak_b0 - 1.0) <= 0.1
 
 
+def test_spin_out_to_missing_directory_exits_cleanly(tmp_path, capsys):
+    code, out, err = _run(capsys, [
+        "spin", "--omega", "1", "--omega1", "0.2", "--b0-start", "0",
+        "--b0-end", "1", "--T", "20", "--sigma", "1", "--samples", "5",
+        "--out", str(tmp_path / "missing" / "trace.csv"),
+    ])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_det_past_the_fourth_power_range(capsys):
+    # sum |c| = 1.4e77: its fourth power overflows, the determinant does not.
+    literal = "3e76,1e76,2e76,1e76,2e76,1e76,3e76,1e76"
+    code, out, err = _run(capsys, ["eval", "--fn", "det", "--mv", literal, "--format", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == pytest.approx(2.56e306, rel=1e-12)
+    code, out, err = _run(capsys, ["eval", "--fn", "inv", "--mv", literal, "--format", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["coeffs"][0] == pytest.approx(0.1875e-76, rel=1e-12)
+
+
 def test_spin_stdout_and_stepped(capsys):
     code, out, _ = _run(capsys, [
         "spin", "--omega", "1", "--omega1", "0.2", "--b0-start", "0",

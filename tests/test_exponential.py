@@ -407,3 +407,19 @@ def test_bad_ga_eps_is_a_typed_error(raw, monkeypatch):
 def test_exp_overflow_is_a_typed_error(sig):
     with pytest.raises(NonFiniteError):
         exp(Multivector(sig, [800, 1, 0, 0, 0, 0, 0, 0]))
+    with pytest.raises(NonFiniteError):
+        exp_particular(Multivector(sig, [800, 0, 0, 0, 0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("sig", [Signature.CL03, Signature.CL21])
+def test_split_exp_with_cancelling_scalar_and_pseudoscalar(sig):
+    # e^{a0} underflows and e^{a123} overflows on their own, but the
+    # results, about e^{a0 + a123} = e^300, are finite.
+    general = Multivector(sig, (-500, 0.1, 0.2, 0, 0, 0, 0.3, 800))
+    center = Multivector(sig, (-500, 0, 0, 0, 0, 0, 0, 800))
+    for x, fns in ((general, (exp,)), (center, (exp, exp_particular))):
+        with mpmath.workdps(30):
+            col = mpmath.expm(mpmath.matrix(_left_regular(x).tolist()))[:, 0]
+            want = np.array([float(v) for v in col])
+        for fn in fns:
+            assert max_err(fn(x), want) <= 1e-12 * np.abs(want).max()

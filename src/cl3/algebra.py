@@ -51,9 +51,13 @@ BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 _BLADE_MASKS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
 
 # Residue guard on the involution-product determinant, and the
-# scale-invariant singularity cutoff |det| < 1e-12 * (sum |c_i|)^4.
+# scale-invariant singularity cutoff |det| < 1e-12 * (sum |c_i|)^4.  Both
+# are compared as fourth roots: (sum |c_i|)^4 overflows from about 3.7e77,
+# long before the products do.
 _RESIDUE_TOL = 1e-10
 _SINGULAR_TOL = 1e-12
+_RESIDUE_ROOT = _RESIDUE_TOL ** 0.25
+_SINGULAR_ROOT = _SINGULAR_TOL ** 0.25
 
 
 class Signature(enum.Enum):
@@ -332,9 +336,8 @@ def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
     gi_rev = involute(rev, InvolutionKind.GRADE_INVERSE)
     adj = geometric_product(geometric_product(rev, gi), gi_rev)
     prod = geometric_product(x, adj).t
-    scale = sum(map(abs, x.t)) ** 4
     residue = max(map(abs, prod[1:]))
-    if residue > _RESIDUE_TOL * max(scale, 1.0):
+    if residue ** 0.25 > _RESIDUE_ROOT * max(sum(map(abs, x.t)), 1.0):
         raise AssertionError(f"non-scalar residue {residue:.3e} in determinant product")
     return adj, prod[0]
 
@@ -362,10 +365,10 @@ def inverse(x: Multivector) -> InverseResult:
     determinant) when |det| falls below the scale-invariant cutoff.
     """
     adj, det = _adjugate_with_det(x)
-    cutoff = _SINGULAR_TOL * sum(map(abs, x.t)) ** 4
-    if abs(det) <= cutoff:
+    root = _SINGULAR_ROOT * sum(map(abs, x.t))
+    if abs(det) ** 0.25 <= root:
         raise NonInvertibleError(
-            f"determinant {det:.6e} below singularity cutoff {cutoff:.6e}",
+            f"determinant {det:.6e} below singularity cutoff {root * root * root * root:.6e}",
             adjugate=adj,
             determinant=det,
         )

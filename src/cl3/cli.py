@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (Cl3Error, ValueError) as err:
+    except (Cl3Error, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

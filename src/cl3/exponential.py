@@ -171,9 +171,7 @@ def _exp_split(x: Multivector) -> Multivector:
     sig, t = x.sig, x.t
     s1, s2, s3 = _SQUARES[sig]
     p1, p2, p3, m1, m2, m3, zp, zm = _halves(t, s1, s2, s3)
-    a0, a123 = t[0], t[7]
-    half = 0.5 * math.exp(a0)
-    ep, em = half * math.exp(a123), half * math.exp(-a123)
+    ep, em = 0.5 * math.exp(t[0] + t[7]), 0.5 * math.exp(t[0] - t[7])
     cp, cm = ep * _co(zp), em * _co(zm)
     sp, sm = ep * _si(zp), em * _si(zm)
     return Multivector(sig, (
@@ -233,27 +231,32 @@ def exp_particular(x: Multivector) -> Multivector:
 
     Accepts a pure vector, a pure bivector, or a scalar+pseudoscalar
     combination, and evaluates the corresponding de Moivre-style closed
-    form directly.  Used as an independent cross-check of ``exp``.
+    form directly.  Used as an independent cross-check of ``exp``.  Raises
+    ``NonFiniteError`` when the result overflows double precision.
     """
     a0, a1, a2, a3, a12, a13, a23, a123 = x.t
     present = {g for g, v in zip(BLADE_GRADES, x.t) if v != 0.0}
     s1, s2, s3 = x.sig.squares
 
-    if present <= {0, 3}:
-        if x.sig.i_square == -1:
-            c, s = math.cos(a123), math.sin(a123)
-        else:
-            c, s = math.cosh(a123), math.sinh(a123)
-        scale = math.exp(a0)
-        return Multivector(x.sig, (scale * c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, scale * s))
+    try:
+        if present <= {0, 3}:
+            if x.sig.i_square == -1:
+                scale = math.exp(a0)
+                c, s = scale * math.cos(a123), scale * math.sin(a123)
+            else:
+                ep, em = 0.5 * math.exp(a0 + a123), 0.5 * math.exp(a0 - a123)
+                c, s = ep + em, ep - em
+            return Multivector(x.sig, (c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s))
 
-    if present == {1}:
-        square = s1 * a1 * a1 + s2 * a2 * a2 + s3 * a3 * a3
-        return _directional_exp(x, slice(1, 4), square)
+        if present == {1}:
+            square = s1 * a1 * a1 + s2 * a2 * a2 + s3 * a3 * a3
+            return _directional_exp(x, slice(1, 4), square)
 
-    if present == {2}:
-        square = -s1 * s2 * a12 * a12 - s1 * s3 * a13 * a13 - s2 * s3 * a23 * a23
-        return _directional_exp(x, slice(4, 7), square)
+        if present == {2}:
+            square = -s1 * s2 * a12 * a12 - s1 * s3 * a13 * a13 - s2 * s3 * a23 * a23
+            return _directional_exp(x, slice(4, 7), square)
+    except OverflowError:
+        raise NonFiniteError(f"exp of {x!r} overflows double precision") from None
 
     raise MixedGradeInputError(
         f"grades {sorted(present)} mix vector/bivector with other grades; "

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import Multivector, Signature
+from .algebra import _PRODUCTS, Multivector, Signature
 from .exceptions import NoIsolatedRootError
 
 __all__ = ["CenterElement", "center_decompose", "center_product", "sqrt_center"]
@@ -46,19 +46,12 @@ def center_decompose(x: Multivector) -> CenterElement:
     satisfies (a + A)^2 = -(a_s + a_i*e123), for the other three algebras
     (a + A)^2 = +(a_s + a_i*e123).
     """
-    _, a1, a2, a3, a12, a13, a23, _ = x.t
-    cross = 2.0 * (a3 * a12 - a2 * a13 + a1 * a23)
-    sig = x.sig
-    if sig is Signature.CL03:
-        a_s = a1 * a1 + a2 * a2 + a3 * a3 + a12 * a12 + a13 * a13 + a23 * a23
-        return CenterElement(a_s, -cross)
-    if sig is Signature.CL30:
-        a_s = a1 * a1 + a2 * a2 + a3 * a3 - a12 * a12 - a13 * a13 - a23 * a23
-    elif sig is Signature.CL12:
-        a_s = a1 * a1 - a2 * a2 - a3 * a3 + a12 * a12 + a13 * a13 - a23 * a23
-    else:  # CL21
-        a_s = a1 * a1 + a2 * a2 - a3 * a3 - a12 * a12 + a13 * a13 + a23 * a23
-    return CenterElement(a_s, cross)
+    y = (0.0, *x.t[1:7], 0.0)
+    yy = _PRODUCTS[x.sig](y, y)
+    s = -1.0 if x.sig is Signature.CL03 else 1.0
+    # + 0.0 turns -0.0 into +0.0, so an exact zero carries no sign and a
+    # negative real square gets the root +sqrt(-a_s)*e123 from cmath.sqrt.
+    return CenterElement(s * yy[0] + 0.0, s * yy[7] + 0.0)
 
 
 def sqrt_center(c: CenterElement, sig: Signature) -> list[CenterElement]:

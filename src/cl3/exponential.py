@@ -124,9 +124,7 @@ def exp_factors(x: Multivector) -> ExpFactors:
     eps = degeneracy_eps(x)
     if sig.i_square == -1:
         ce = center_decompose(x)
-        # + 0.0 turns a_i = -0.0 into +0.0, so that a negative real square
-        # gets the root +sqrt(-a_s)*e123.
-        root = cmath.sqrt(complex(ce.a_s, ce.a_i + 0.0))
+        root = cmath.sqrt(complex(ce.a_s, ce.a_i))
         ap, am = root.real, root.imag
         aps, ams = ap * ap, am * am
         return ExpFactors(sig, _branch(aps <= eps, ams <= eps), aps, ams, ap, am, aps + ams)

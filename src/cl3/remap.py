@@ -2,9 +2,11 @@
 
 CL30 and CL12 are isomorphic, and the even subalgebras of the 4D algebras
 with signatures (1,3) and (3,1) are isomorphic to CL30.  Each built-in
-table records which slot goes where; the signs that make the relabeling an
-actual algebra isomorphism are solved for at import time from the three
-generator images, normalized so the pseudoscalar slot maps positively.
+table is given by the source blades that the destination generators e1,
+e2, e3 map to.  At import, every other destination blade maps to the
+ascending product of its generators' images, and e3's image is negated
+where that makes the pseudoscalar map positively; this fixes both the
+slots and the signs.
 """
 
 from __future__ import annotations
@@ -89,108 +91,58 @@ class RemapTable:
         return tuple([self.sign[i] * coeffs[i] for i in dst_slot])
 
 
-def _solve_table(name, src, dst, src_masks, src_squares, dst_sig, pairs):
-    """Derive the signed table from the three generator images.
+_SIG_BY_NAME = {"cl30": Signature.CL30, "cl12": Signature.CL12}
 
-    ``pairs`` lists (src_label, dst_label) slot pairs from the unsigned
-    correspondence.  The images of the destination generators e1, e2, e3
-    determine everything else by multiplication in the source algebra; the
-    first generator sign combination mapping the pseudoscalar slot with +1
-    wins.  Pair slots are checked against the derived ones (an explicit
-    raise, kept under ``python -O``), so a transcription slip cannot
-    survive import.
+
+def _solve_table(name: str, src: str, dst: str, gens: tuple[str, str, str]) -> RemapTable:
+    """Derive the signed table from ``gens``, the source labels of the
+    destination generators e1, e2, e3.
+
+    Each destination blade maps to the ascending product of its generators'
+    images; when the pseudoscalar image comes out negative, e3's image is
+    negated.  The images must square like the destination generators and
+    anticommute, and the blade images must hit every source slot once
+    (explicit raises, kept under ``python -O``).
     """
-    src_labels = BLADE_NAMES if src in ("cl30", "cl12") else EVEN_BLADE_NAMES
-    dst_labels = BLADE_NAMES
-    mask_to_slot = {m: i for i, m in enumerate(src_masks)}
-    slot_of = {lbl: i for i, lbl in enumerate(src_labels)}
-    expected = {dst_lbl: slot_of[src_lbl] for src_lbl, dst_lbl in pairs}
-    gen_slots = [expected["e1"], expected["e2"], expected["e3"]]
-
-    dsq = dst_sig.squares
-    for k in range(3):
-        m = src_masks[gen_slots[k]]
-        _, sq = blade_product(m, m, src_squares)
-        if sq != dsq[k]:
+    if src in _SIG_BY_NAME:
+        src_labels, src_masks, src_squares = BLADE_NAMES, _BLADE_MASKS, _SIG_BY_NAME[src].squares
+    else:
+        src_labels, src_masks, src_squares = EVEN_BLADE_NAMES, _EVEN_MASKS, _EVEN_SQUARES[src]
+    gen_masks = [src_masks[src_labels.index(label)] for label in gens]
+    for k, m in enumerate(gen_masks):
+        if blade_product(m, m, src_squares)[1] != _SIG_BY_NAME[dst].squares[k]:
             raise AssertionError(f"{name}: generator image square mismatch for e{k + 1}")
-        for other in gen_slots[:k]:
-            mo = src_masks[other]
-            _, s_ab = blade_product(mo, m, src_squares)
-            _, s_ba = blade_product(m, mo, src_squares)
-            if s_ab != -s_ba:
+        for mo in gen_masks[:k]:
+            if blade_product(mo, m, src_squares)[1] == blade_product(m, mo, src_squares)[1]:
                 raise AssertionError(f"{name}: generator images do not anticommute")
 
-    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
-                  (1, -1, -1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)):
-        # Image of each dst blade: (src slot, sign), derived by products.
-        images = {0: (0, 1)}
-        for k in range(3):
-            images[k + 1] = (gen_slots[k], signs[k])
-        for dst_idx, (ka, kb) in ((4, (1, 2)), (5, (1, 3)), (6, (2, 3))):
-            sa, za = images[ka]
-            sb, zb = images[kb]
-            mask, s = blade_product(src_masks[sa], src_masks[sb], src_squares)
-            images[dst_idx] = (mask_to_slot[mask], za * zb * s)
-        sa, za = images[4]
-        sb, zb = images[3]
-        mask, s = blade_product(src_masks[sa], src_masks[sb], src_squares)
-        images[7] = (mask_to_slot[mask], za * zb * s)
-        if images[7][1] != 1:
-            continue
-        for dst_lbl, want_slot in expected.items():
-            got_slot = images[dst_labels.index(dst_lbl)][0]
-            if got_slot != want_slot:
-                raise AssertionError(
-                    f"{name}: slot for {dst_lbl} derived as "
-                    f"{src_labels[got_slot]}, table says {src_labels[want_slot]}"
-                )
-        src_slot = tuple(images[i][0] for i in range(8))
-        sign = tuple(images[i][1] for i in range(8))
-        return RemapTable(name, src, dst, src_labels, dst_labels, src_slot, sign)
-    raise AssertionError(f"{name}: no generator sign choice fixes the pseudoscalar")
+    slots, signs = [], []
+    for dst_mask in _BLADE_MASKS:
+        mask, sign = 0, 1
+        for k, m in enumerate(gen_masks):
+            if dst_mask >> k & 1:
+                mask, s = blade_product(mask, m, src_squares)
+                sign *= s
+        slots.append(src_masks.index(mask))
+        signs.append(sign)
+    if sorted(slots) != list(range(8)):
+        raise AssertionError(f"{name}: blade images are not a bijection")
+    # Negating e3's image flips every blade that holds e3, the pseudoscalar too.
+    flip = signs[7]
+    signs = [s * flip if dst_mask & 0b100 else s for s, dst_mask in zip(signs, _BLADE_MASKS)]
+    return RemapTable(name, src, dst, src_labels, BLADE_NAMES, tuple(slots), tuple(signs))
 
 
-def _build_tables() -> dict[str, RemapTable]:
-    cl30 = Signature.CL30
-    cl12 = Signature.CL12
-    tables = [
-        _solve_table(
-            "cl30_cl12_1", "cl30", "cl12", _BLADE_MASKS, cl30.squares, cl12,
-            [("1", "1"), ("e1", "e1"), ("e13", "e2"), ("e12", "e3"),
-             ("e3", "e12"), ("e2", "e13"), ("e23", "e23"), ("e123", "e123")],
-        ),
-        _solve_table(
-            "cl30_cl12_2", "cl30", "cl12", _BLADE_MASKS, cl30.squares, cl12,
-            [("1", "1"), ("e3", "e1"), ("e13", "e2"), ("e23", "e3"),
-             ("e1", "e12"), ("e2", "e13"), ("e12", "e23"), ("e123", "e123")],
-        ),
-        _solve_table(
-            "cl13_even_cl30_1", "cl13", "cl30", _EVEN_MASKS, _EVEN_SQUARES["cl13"], cl30,
-            [("1", "1"), ("e12", "e1"), ("e13", "e2"), ("e14", "e3"),
-             ("e23", "e12"), ("e24", "e13"), ("e34", "e23"), ("e1234", "e123")],
-        ),
-        _solve_table(
-            "cl13_even_cl30_2", "cl13", "cl30", _EVEN_MASKS, _EVEN_SQUARES["cl13"], cl30,
-            [("1", "1"), ("e14", "e1"), ("e13", "e2"), ("e12", "e3"),
-             ("e34", "e12"), ("e24", "e13"), ("e23", "e23"), ("e1234", "e123")],
-        ),
-        _solve_table(
-            "cl31_even_cl30_1", "cl31", "cl30", _EVEN_MASKS, _EVEN_SQUARES["cl31"], cl30,
-            [("1", "1"), ("e14", "e1"), ("e24", "e2"), ("e34", "e3"),
-             ("e12", "e12"), ("e13", "e13"), ("e23", "e23"), ("e1234", "e123")],
-        ),
-        _solve_table(
-            "cl31_even_cl30_2", "cl31", "cl30", _EVEN_MASKS, _EVEN_SQUARES["cl31"], cl30,
-            [("1", "1"), ("e34", "e1"), ("e24", "e2"), ("e14", "e3"),
-             ("e23", "e12"), ("e13", "e13"), ("e12", "e23"), ("e1234", "e123")],
-        ),
-    ]
-    return {t.name: t for t in tables}
-
-
-REMAP_TABLES = _build_tables()
-
-_SIG_BY_NAME = {"cl30": Signature.CL30, "cl12": Signature.CL12}
+# Source labels of the destination generators e1, e2, e3.
+_GENERATOR_IMAGES = (
+    ("cl30_cl12_1", "cl30", "cl12", ("e1", "e13", "e12")),
+    ("cl30_cl12_2", "cl30", "cl12", ("e3", "e13", "e23")),
+    ("cl13_even_cl30_1", "cl13", "cl30", ("e12", "e13", "e14")),
+    ("cl13_even_cl30_2", "cl13", "cl30", ("e14", "e13", "e12")),
+    ("cl31_even_cl30_1", "cl31", "cl30", ("e14", "e24", "e34")),
+    ("cl31_even_cl30_2", "cl31", "cl30", ("e34", "e24", "e14")),
+)
+REMAP_TABLES = {name: _solve_table(name, *rest) for name, *rest in _GENERATOR_IMAGES}
 
 
 def get_remap_table(name: str) -> RemapTable:

@@ -109,53 +109,43 @@ def _check_order(family: SeriesFamily, order: int) -> None:
         )
 
 
+# sin(x) = -i sinh(ix), cos(x) = cosh(ix), tan(x) = -i tanh(ix) and
+# sec(x) = sech(ix): the x^p term of each trigonometric series is the
+# hyperbolic one times (-1)^(p // 2).
+_HYPERBOLIC_OF = {
+    SeriesFamily.SIN: SeriesFamily.SINH,
+    SeriesFamily.COS: SeriesFamily.COSH,
+    SeriesFamily.TAN: SeriesFamily.TANH,
+    SeriesFamily.SEC_EULER: SeriesFamily.SECH_EULER,
+}
+
+
 @lru_cache(maxsize=None)
 def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Powers and float coefficients of all series terms of degree <= order."""
     _check_order(family, order)
-    powers: list[int] = []
-    coeffs: list[Fraction] = []
-    if family is SeriesFamily.EXP:
-        for p in range(order + 1):
-            powers.append(p)
-            coeffs.append(Fraction(1, math.factorial(p)))
-    elif family in (SeriesFamily.SIN, SeriesFamily.SINH):
-        k = 1
-        while 2 * k - 1 <= order:
-            powers.append(2 * k - 1)
-            c = Fraction(1, math.factorial(2 * k - 1))
-            coeffs.append(-c if (family is SeriesFamily.SIN and k % 2 == 0) else c)
-            k += 1
-    elif family in (SeriesFamily.COS, SeriesFamily.COSH):
-        k = 1
-        while 2 * k - 2 <= order:
-            powers.append(2 * k - 2)
-            c = Fraction(1, math.factorial(2 * k - 2))
-            coeffs.append(-c if (family is SeriesFamily.COS and k % 2 == 0) else c)
-            k += 1
-    elif family in (SeriesFamily.TAN, SeriesFamily.TANH):
-        bern = bernoulli_numbers(order + 1)
-        k = 1
-        while 2 * k - 1 <= order:
-            powers.append(2 * k - 1)
-            c = Fraction(4 ** k * (4 ** k - 1)) * bern[2 * k] / math.factorial(2 * k)
-            if family is SeriesFamily.TAN and k % 2 == 0:
-                c = -c
-            coeffs.append(c)
-            k += 1
-    else:  # SEC_EULER / SECH_EULER
-        eul = euler_numbers(order)
-        k = 1
-        while 2 * k - 2 <= order:
-            powers.append(2 * k - 2)
-            c = eul[2 * k - 2] / math.factorial(2 * k - 2)
-            if family is SeriesFamily.SEC_EULER and k % 2 == 0:
-                c = -c
-            coeffs.append(c)
-            k += 1
+    hyper = _HYPERBOLIC_OF.get(family, family)
+    if hyper is SeriesFamily.EXP:
+        powers = range(order + 1)
+    elif hyper in (SeriesFamily.SINH, SeriesFamily.TANH):
+        powers = range(1, order + 1, 2)
+    else:  # COSH / SECH_EULER
+        powers = range(0, order + 1, 2)
     if not powers:
         # Order 1 always keeps at least one term in every family.
         raise SeriesOrderError(f"{family.value} series has no terms of degree <= {order}")
+    if hyper is SeriesFamily.TANH:
+        bern = bernoulli_numbers(order + 1)
+        # x^p takes 2^n (2^n - 1) B_n / n! with n = p + 1.
+        coeffs = [Fraction(2 ** (p + 1) * (2 ** (p + 1) - 1)) * bern[p + 1] / math.factorial(p + 1)
+                  for p in powers]
+    elif hyper is SeriesFamily.SECH_EULER:
+        eul = euler_numbers(order)
+        coeffs = [eul[p] / math.factorial(p) for p in powers]
+    else:
+        coeffs = [Fraction(1, math.factorial(p)) for p in powers]
+    if hyper is not family:
+        coeffs = [-c if p // 2 % 2 else c for p, c in zip(powers, coeffs)]
     return tuple(powers), tuple(float(c) for c in coeffs)
 
 

@@ -30,15 +30,8 @@ from .series import SeriesFamily, SeriesSpec, series_eval
 from .spin import RampSweep, sweep_ramp, write_trace_csv
 
 _BLADE_INDEX = {name: i for i, name in enumerate(BLADE_NAMES) if name != "1"}
-_SERIES_FAMILIES = {
-    "exp": SeriesFamily.EXP,
-    "sin": SeriesFamily.SIN,
-    "cos": SeriesFamily.COS,
-    "tan": SeriesFamily.TAN,
-    "sinh": SeriesFamily.SINH,
-    "cosh": SeriesFamily.COSH,
-    "tanh": SeriesFamily.TANH,
-}
+# Functions with both a closed form and a series (their SeriesFamily values).
+_SERIES_FAMILIES = ("exp", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 _CONVERGENCE_WARN = 1e-6
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*/]))")
@@ -169,14 +162,8 @@ def _cmd_eval(args) -> int:
     fn = args.fn
 
     if fn in _SERIES_FAMILIES and args.series:
-        spec = SeriesSpec(_SERIES_FAMILIES[fn], args.terms)
-        result, delta = series_eval(mv, spec, return_last_term=True)
-        if delta > _CONVERGENCE_WARN:
-            print(
-                f"warning: last series term still moves coefficients by {delta:.3g}; "
-                "the series may not have converged",
-                file=sys.stderr,
-            )
+        result, delta = series_eval(mv, SeriesSpec(SeriesFamily(fn), args.terms), return_last_term=True)
+        _warn_if_unconverged(delta)
         _emit_mv(result, args)
         return 0
     if args.series:
@@ -229,6 +216,15 @@ def _cmd_eval(args) -> int:
     raise Cl3Error(f"unknown function {fn!r}")
 
 
+def _warn_if_unconverged(delta: float) -> None:
+    if delta > _CONVERGENCE_WARN:
+        print(
+            f"warning: last series term still moves coefficients by {delta:.3g}; "
+            "the series may not have converged",
+            file=sys.stderr,
+        )
+
+
 def _emit_mv(mv: Multivector, args) -> None:
     if args.format == "json":
         print(json.dumps(_mv_json(mv)))
@@ -249,14 +245,9 @@ def _cmd_compare(args) -> int:
     if args.fn not in _SERIES_FAMILIES:
         raise Cl3Error(f"--fn {args.fn} has no series family to compare against")
     closed = _closed_form(args.fn, mv)
-    approx, delta = series_eval(mv, SeriesSpec(_SERIES_FAMILIES[args.fn], args.terms), return_last_term=True)
+    approx, delta = series_eval(mv, SeriesSpec(SeriesFamily(args.fn), args.terms), return_last_term=True)
     max_delta = max(abs(a - b) for a, b in zip(closed.t, approx.t))
-    if delta > _CONVERGENCE_WARN:
-        print(
-            f"warning: last series term still moves coefficients by {delta:.3g}; "
-            "the series may not have converged",
-            file=sys.stderr,
-        )
+    _warn_if_unconverged(delta)
     if args.format == "json":
         print(json.dumps({
             "algebra": sig.name.lower(),

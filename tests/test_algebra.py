@@ -1,5 +1,6 @@
 """Core multivector arithmetic: products, involutions, determinant, inverse."""
 
+import ast
 import math
 import os
 import subprocess
@@ -363,3 +364,11 @@ def test_residue_check_survives_python_O():
     )
     assert proc.returncode != 0 and proc.stdout == ""
     assert "AssertionError: non-scalar residue" in proc.stderr
+
+
+def test_source_has_no_assert_statements():
+    # python -O strips assert statements; every check in the library raises.
+    for path in sorted(Path(cl3.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert on lines {found}"

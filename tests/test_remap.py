@@ -1,8 +1,14 @@
 """Relabeling tables: round trips, multiplicativity, exponential transport."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cl3
 from cl3 import (
     REMAP_TABLES,
     EvenMultivector,
@@ -17,6 +23,7 @@ from cl3 import (
     get_remap_table,
     series_eval,
 )
+from cl3.remap import _solve_table
 from conftest import max_err, rand_mv
 
 CL3030_TABLES = ("cl30_cl12_1", "cl30_cl12_2")
@@ -142,3 +149,36 @@ def test_even_multivector_validation():
         even_geometric_product(
             EvenMultivector("cl13", np.zeros(8)), EvenMultivector("cl31", np.zeros(8))
         )
+
+
+_BAD_GENERATOR_IMAGES = (
+    (("e1", "e2", "e3"), "square mismatch for e2"),  # e2^2 = -1 in CL12
+    (("e1", "e23", "e12"), "do not anticommute"),  # e1 and e23 commute
+)
+
+
+@pytest.mark.parametrize("gens, message", _BAD_GENERATOR_IMAGES)
+def test_bad_generator_images_raise(gens, message):
+    with pytest.raises(AssertionError, match=message):
+        _solve_table("bad", "cl30", "cl12", gens)
+
+
+def test_generator_checks_survive_python_O():
+    script = (
+        "from cl3.remap import _solve_table\n"
+        f"for gens, _ in {_BAD_GENERATOR_IMAGES!r}:\n"
+        "    try:\n"
+        "        _solve_table('bad', 'cl30', 'cl12', gens)\n"
+        "    except AssertionError as err:\n"
+        "        print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cl3.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(_BAD_GENERATOR_IMAGES)
+    for line, (_, message) in zip(lines, _BAD_GENERATOR_IMAGES):
+        assert line.startswith("bad: ") and message in line
+

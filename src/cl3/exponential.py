@@ -242,8 +242,12 @@ def exp_particular(x: Multivector) -> Multivector:
                 scale = math.exp(a0)
                 c, s = scale * math.cos(a123), scale * math.sin(a123)
             else:
-                ep, em = 0.5 * math.exp(a0 + a123), 0.5 * math.exp(a0 - a123)
-                c, s = ep + em, ep - em
+                # e^{a0} (cosh a123, sinh a123) from one exponential, so that
+                # neither e^{a0} nor e^{|a123|} overflows alone; expm1 keeps
+                # the sinh term exact for small a123.
+                half = 0.5 * math.exp(a0 + abs(a123))
+                d = -math.expm1(-2.0 * abs(a123))
+                c, s = half * (2.0 - d), math.copysign(half * d, a123)
             return Multivector(x.sig, (c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s))
 
         if present == {1}:

@@ -299,6 +299,9 @@ def test_particular_case_shapes():
     got = exp_particular(s)
     assert abs(got.c[0] - math.exp(0.5) * math.cosh(0.8)) < 1e-15
     assert abs(got.c[7] - math.exp(0.5) * math.sinh(0.8)) < 1e-15
+    for a123 in (1e-8, -1e-3):
+        got = exp_particular(Multivector(cl03, [0.5, 0, 0, 0, 0, 0, 0, a123]))
+        assert got.c[7] == pytest.approx(math.exp(0.5) * math.sinh(a123), rel=1e-15)
 
     b = blade(Signature.CL21, "e13", 1.1)  # bivector square is positive here
     got = exp_particular(b)

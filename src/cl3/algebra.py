@@ -50,14 +50,12 @@ BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 # Bit i of a mask marks generator e_{i+1}.
 _BLADE_MASKS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
 
-# Residue guard on the involution-product determinant, and the
-# scale-invariant singularity cutoff |det| < 1e-12 * (sum |c_i|)^4.  Both
-# are compared as fourth roots: (sum |c_i|)^4 overflows from about 3.7e77,
-# long before the products do.
-_RESIDUE_TOL = 1e-10
-_SINGULAR_TOL = 1e-12
-_RESIDUE_ROOT = _RESIDUE_TOL ** 0.25
-_SINGULAR_ROOT = _SINGULAR_TOL ** 0.25
+# Residue guard on the involution-product determinant, residue <= 1e-10 *
+# max((sum |c_i|)^4, 1), and the scale-invariant singularity cutoff
+# |det| <= 1e-12 * (sum |c_i|)^4.  Both are compared as fourth roots:
+# (sum |c_i|)^4 overflows from about 3.7e77, long before the products do.
+_RESIDUE_ROOT = 1e-10 ** 0.25
+_SINGULAR_ROOT = 1e-12 ** 0.25
 
 
 class Signature(enum.Enum):

@@ -164,12 +164,21 @@ def _co(s):
     return math.cos(math.sqrt(-s))
 
 
+def _half_exp(a: float, b: float) -> float:
+    """e^(a + b) / 2 from one exponential, so that e^a or e^b may overflow
+    alone; the rounding error of a + b, recovered exactly as in TwoSum,
+    goes back in as the factor 1 + err."""
+    s = a + b
+    t = s - a
+    return 0.5 * math.exp(s) * (1.0 + ((a - (s - t)) + (b - t)))
+
+
 def _exp_split(x: Multivector) -> Multivector:
     """exp where e123^2 = +1: one real exponential on each idempotent half."""
     sig, t = x.sig, x.t
     s1, s2, s3 = _SQUARES[sig]
     p1, p2, p3, m1, m2, m3, zp, zm = _halves(t, s1, s2, s3)
-    ep, em = 0.5 * math.exp(t[0] + t[7]), 0.5 * math.exp(t[0] - t[7])
+    ep, em = _half_exp(t[0], t[7]), _half_exp(t[0], -t[7])
     cp, cm = ep * _co(zp), em * _co(zm)
     sp, sm = ep * _si(zp), em * _si(zm)
     return Multivector(sig, (
@@ -242,10 +251,9 @@ def exp_particular(x: Multivector) -> Multivector:
                 scale = math.exp(a0)
                 c, s = scale * math.cos(a123), scale * math.sin(a123)
             else:
-                # e^{a0} (cosh a123, sinh a123) from one exponential, so that
-                # neither e^{a0} nor e^{|a123|} overflows alone; expm1 keeps
-                # the sinh term exact for small a123.
-                half = 0.5 * math.exp(a0 + abs(a123))
+                # e^{a0} (cosh a123, sinh a123) from one exponential; expm1
+                # keeps the sinh term exact for small a123.
+                half = _half_exp(a0, abs(a123))
                 d = -math.expm1(-2.0 * abs(a123))
                 c, s = half * (2.0 - d), math.copysign(half * d, a123)
             return Multivector(x.sig, (c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s))

@@ -415,14 +415,17 @@ def test_exp_overflow_is_a_typed_error(sig):
 
 
 @pytest.mark.parametrize("sig", [Signature.CL03, Signature.CL21])
-def test_split_exp_with_cancelling_scalar_and_pseudoscalar(sig):
-    # e^{a0} underflows and e^{a123} overflows on their own, but the
-    # results, about e^{a0 + a123} = e^300, are finite.
-    general = Multivector(sig, (-500, 0.1, 0.2, 0, 0, 0, 0.3, 800))
-    center = Multivector(sig, (-500, 0, 0, 0, 0, 0, 0, 800))
-    for x, fns in ((general, (exp,)), (center, (exp, exp_particular))):
-        with mpmath.workdps(30):
-            col = mpmath.expm(mpmath.matrix(_left_regular(x).tolist()))[:, 0]
-            want = np.array([float(v) for v in col])
-        for fn in fns:
-            assert max_err(fn(x), want) <= 1e-12 * np.abs(want).max()
+def test_split_exp_with_large_scalar_and_pseudoscalar(sig):
+    # (-500, 800): e^{a0} underflows and e^{a123} overflows on their own,
+    # but the results, about e^{a0 + a123} = e^300, are finite.
+    # (300.1, -250.3): a0 + a123 and a0 - a123 round, which must not cost
+    # digits (a plain exp of the rounded sum is off by 5.7e-14 here).
+    for a0, a123, tol in ((-500, 800, 1e-12), (300.1, -250.3, 1e-15)):
+        general = Multivector(sig, (a0, 0.1, 0.2, 0, 0, 0, 0.3, a123))
+        center = Multivector(sig, (a0, 0, 0, 0, 0, 0, 0, a123))
+        for x, fns in ((general, (exp,)), (center, (exp, exp_particular))):
+            with mpmath.workdps(30):
+                col = mpmath.expm(mpmath.matrix(_left_regular(x).tolist()))[:, 0]
+                want = np.array([float(v) for v in col])
+            for fn in fns:
+                assert max_err(fn(x), want) <= tol * np.abs(want).max()

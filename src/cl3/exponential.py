@@ -165,12 +165,13 @@ def _co(s):
 
 
 def _half_exp(a: float, b: float) -> float:
-    """e^(a + b) / 2 from one exponential, so that e^a or e^b may overflow
-    alone; the rounding error of a + b, recovered exactly as in TwoSum,
-    goes back in as the factor 1 + err."""
+    """e^(a + b) / 2, finite wherever it is representable, although e^a or
+    e^b alone may overflow, and e^(a + b) too.  The rounding error of a + b,
+    recovered exactly as in TwoSum, goes back in as the factor 1 + err."""
     s = a + b
     t = s - a
-    return 0.5 * math.exp(s) * (1.0 + ((a - (s - t)) + (b - t)))
+    h = math.exp(0.5 * s)
+    return 0.5 * h * (h * (1.0 + ((a - (s - t)) + (b - t))))
 
 
 def _exp_split(x: Multivector) -> Multivector:
@@ -265,7 +266,7 @@ def exp_particular(x: Multivector) -> Multivector:
         if present == {2}:
             square = -s1 * s2 * a12 * a12 - s1 * s3 * a13 * a13 - s2 * s3 * a23 * a23
             return _directional_exp(x, slice(4, 7), square)
-    except OverflowError:
+    except (OverflowError, NonFiniteError):
         raise NonFiniteError(f"exp of {x!r} overflows double precision") from None
 
     raise MixedGradeInputError(

@@ -420,7 +420,8 @@ def test_split_exp_with_large_scalar_and_pseudoscalar(sig):
     # but the results, about e^{a0 + a123} = e^300, are finite.
     # (300.1, -250.3): a0 + a123 and a0 - a123 round, which must not cost
     # digits (a plain exp of the rounded sum is off by 5.7e-14 here).
-    for a0, a123, tol in ((-500, 800, 1e-12), (300.1, -250.3, 1e-15)):
+    # (0, 710): e^710 overflows, but cosh 710 = sinh 710 = 1.1e308 do not.
+    for a0, a123, tol in ((-500, 800, 1e-12), (300.1, -250.3, 1e-15), (0, 710, 1e-15)):
         general = Multivector(sig, (a0, 0.1, 0.2, 0, 0, 0, 0.3, a123))
         center = Multivector(sig, (a0, 0, 0, 0, 0, 0, 0, a123))
         for x, fns in ((general, (exp,)), (center, (exp, exp_particular))):

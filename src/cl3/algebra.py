@@ -329,13 +329,17 @@ def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
     so it raises ``AssertionError`` (also under ``python -O``) rather than
     being silently projected away.
     """
-    rev = involute(x, InvolutionKind.REVERSE)
-    gi = involute(x, InvolutionKind.GRADE_INVERSE)
-    gi_rev = involute(rev, InvolutionKind.GRADE_INVERSE)
-    adj = geometric_product(geometric_product(rev, gi), gi_rev)
-    prod = geometric_product(x, adj).t
+    t = x.t
+    mul = _PRODUCTS[x.sig]
+    rev = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.REVERSE], t))
+    gi = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.GRADE_INVERSE], t))
+    gi_rev = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.REVERSE_GRADE_INVERSE], t))
+    adj = Multivector(x.sig, mul(mul(rev, gi), gi_rev))
+    prod = mul(t, adj.t)
+    if not all(map(math.isfinite, prod)):
+        raise NonFiniteError("multivector coefficients must be finite")
     residue = max(map(abs, prod[1:]))
-    if residue ** 0.25 > _RESIDUE_ROOT * max(sum(map(abs, x.t)), 1.0):
+    if residue ** 0.25 > _RESIDUE_ROOT * max(sum(map(abs, t)), 1.0):
         raise AssertionError(f"non-scalar residue {residue:.3e} in determinant product")
     return adj, prod[0]
 

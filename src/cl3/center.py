@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import _PRODUCTS, Multivector, Signature
 from .exceptions import NoIsolatedRootError
@@ -18,8 +18,7 @@ from .exceptions import NoIsolatedRootError
 __all__ = ["CenterElement", "center_decompose", "center_product", "sqrt_center"]
 
 
-@dataclass(frozen=True)
-class CenterElement:
+class CenterElement(NamedTuple):
     """Element a_s + a_i * e123 of the algebra center."""
 
     a_s: float

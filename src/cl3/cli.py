@@ -24,10 +24,8 @@ from .algebra import (
 )
 from .center import center_decompose, sqrt_center
 from .exceptions import Cl3Error, MVParseError
-from .exponential import ExpBranch, exp, exp_factors
+from .exponential import exp, exp_factors
 from .functions import hyperbolic_exact, ratio_exact, trig_exact
-from .series import SeriesFamily, SeriesSpec, series_eval
-from .spin import RampSweep, sweep_ramp, write_trace_csv
 
 _BLADE_INDEX = {name: i for i, name in enumerate(BLADE_NAMES) if name != "1"}
 # Functions with both a closed form and a series (their SeriesFamily values).
@@ -162,9 +160,7 @@ def _cmd_eval(args) -> int:
     fn = args.fn
 
     if fn in _SERIES_FAMILIES and args.series:
-        result, delta = series_eval(mv, SeriesSpec(SeriesFamily(fn), args.terms), return_last_term=True)
-        _warn_if_unconverged(delta)
-        _emit_mv(result, args)
+        _emit_mv(_series(fn, mv, args.terms), args)
         return 0
     if args.series:
         raise Cl3Error(f"--series does not apply to --fn {fn}")
@@ -216,13 +212,18 @@ def _cmd_eval(args) -> int:
     raise Cl3Error(f"unknown function {fn!r}")
 
 
-def _warn_if_unconverged(delta: float) -> None:
+def _series(fn: str, mv: Multivector, terms: int) -> Multivector:
+    """The order-``terms`` series of ``fn``; warns when its last term still counts."""
+    from .series import SeriesFamily, SeriesSpec, series_eval
+
+    result, delta = series_eval(mv, SeriesSpec(SeriesFamily(fn), terms), return_last_term=True)
     if delta > _CONVERGENCE_WARN:
         print(
             f"warning: last series term still moves coefficients by {delta:.3g}; "
             "the series may not have converged",
             file=sys.stderr,
         )
+    return result
 
 
 def _emit_mv(mv: Multivector, args) -> None:
@@ -245,9 +246,8 @@ def _cmd_compare(args) -> int:
     if args.fn not in _SERIES_FAMILIES:
         raise Cl3Error(f"--fn {args.fn} has no series family to compare against")
     closed = _closed_form(args.fn, mv)
-    approx, delta = series_eval(mv, SeriesSpec(SeriesFamily(args.fn), args.terms), return_last_term=True)
+    approx = _series(args.fn, mv, args.terms)
     max_delta = max(abs(a - b) for a, b in zip(closed.t, approx.t))
-    _warn_if_unconverged(delta)
     if args.format == "json":
         print(json.dumps({
             "algebra": sig.name.lower(),
@@ -266,6 +266,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_spin(args) -> int:
+    from .spin import RampSweep, sweep_ramp, write_trace_csv
+
     sweep = RampSweep(
         b0_start=args.b0_start,
         b0_end=args.b0_end,
@@ -283,6 +285,16 @@ def _cmd_spin(args) -> int:
     return 0
 
 
+def _digits(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cl3",
@@ -294,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--algebra", default="cl30", choices=["cl30", "cl03", "cl12", "cl21"])
     common.add_argument("--mv", required=True, help="multivector literal")
-    common.add_argument("--digits", type=int, default=8, help="significant digits (default 8)")
+    common.add_argument("--digits", type=_digits, default=8, help="significant digits (default 8)")
     common.add_argument("--format", default="text", choices=["text", "json"])
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate one function of one multivector")

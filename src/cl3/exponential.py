@@ -20,8 +20,8 @@ import cmath
 import enum
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import _PRODUCTS, BLADE_GRADES, Multivector, Signature
 from .center import center_decompose
@@ -67,8 +67,7 @@ class ExpBranch(enum.Enum):
     BOTH_DEGENERATE = "both-degenerate"
 
 
-@dataclass(frozen=True)
-class ExpFactors:
+class ExpFactors(NamedTuple):
     """Per-algebra factor pair of the closed-form exponential, for diagnosis.
 
     CL03 carries non-negative ``a_plus``/``a_minus`` (the exponential is

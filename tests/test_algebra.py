@@ -19,6 +19,7 @@ from cl3 import (
     EvenMultivector,
     InvolutionKind,
     Multivector,
+    NonFiniteError,
     NonInvertibleError,
     NormUndefinedError,
     Signature,
@@ -257,6 +258,14 @@ def test_determinant_and_inverse_past_the_fourth_power_range():
     # The singular cutoff still applies at that scale.
     with pytest.raises(NonInvertibleError):
         inverse((Multivector.scalar(cl30, 1.0) + blade(cl30, "e1")) * 1e77)
+
+
+def test_determinant_overflow_is_a_typed_error():
+    # The adjugate (about 1e231) is finite; the determinant (about 5e308) is not.
+    x = Multivector(Signature.CL30, (3, 1, 2, 1, 2, 1, 3, 1)) * 3e76
+    for f in (determinant, inverse, adjugate):
+        with pytest.raises(NonFiniteError):
+            f(x)
 
 
 def test_det_norm_reference():

@@ -118,6 +118,21 @@ def test_eval_digits_control(capsys):
     assert out3.strip() == "1.65"
 
 
+def test_negative_digits_is_a_usage_error(capsys):
+    for cmd in (["eval", "--fn", "exp"], ["compare", "--fn", "exp", "--terms", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--mv", "1,2,3,4,5,6,7,8", "--digits", "-3"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1].endswith("error: argument --digits: must be a non-negative integer, got -3")
+    with pytest.raises(SystemExit):
+        main(["eval", "--fn", "exp", "--mv", "1,2,3,4,5,6,7,8", "--digits", "x"])
+    assert "argument --digits: invalid int value: 'x'" in capsys.readouterr().err
+    _, out0, _ = _run(capsys, ["eval", "--fn", "exp", "--mv", "0.5,0,0,0,0,0,0,0", "--digits", "0"])
+    assert out0.strip() == "2"
+
+
 def test_eval_scalar_functions(capsys):
     code, out, _ = _run(capsys, ["eval", "--fn", "det", "--mv", "4,1,3,-5,10,9,-9,-4"])
     assert code == 0 and out.strip() == "71129"

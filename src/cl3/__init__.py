@@ -40,7 +40,6 @@ from .exceptions import (
     NormUndefinedError,
     SeriesOrderError,
     SignatureMismatchError,
-    ToleranceError,
     UnsupportedSignatureError,
 )
 from .exponential import ExpBranch, ExpFactors, degeneracy_eps, exp, exp_factors, exp_particular

@@ -44,11 +44,17 @@ __all__ = [
     "det_norm",
 ]
 
-BLADE_NAMES = ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
-BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
-
 # Bit i of a mask marks generator e_{i+1}.
 _BLADE_MASKS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
+
+
+def _blade_name(mask: int) -> str:
+    """``1`` for the empty mask, else ``e`` and the ascending generator indices."""
+    return "e" + "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) if mask else "1"
+
+
+BLADE_NAMES = tuple(map(_blade_name, _BLADE_MASKS))
+BLADE_GRADES = tuple(mask.bit_count() for mask in _BLADE_MASKS)
 
 # Residue guard on the involution-product determinant, residue <= 1e-10 *
 # max((sum |c_i|)^4, 1), and the scale-invariant singularity cutoff
@@ -300,12 +306,14 @@ class InvolutionKind(enum.Enum):
     REVERSE_GRADE_INVERSE = "reverse-grade-inverse"
 
 
+# Reverse multiplies grade g by (-1)^(g(g-1)/2), grade inverse by (-1)^g,
+# their composition by the product of the two.
+_REVERSE_SIGNS = tuple((-1.0) ** (g * (g - 1) // 2) for g in BLADE_GRADES)
+_GRADE_SIGNS = tuple((-1.0) ** g for g in BLADE_GRADES)
 _INVOLUTION_SIGNS = {
-    # Reverse flips grades 2 and 3, grade inverse flips 1 and 3,
-    # their composition flips 1 and 2.
-    InvolutionKind.REVERSE: (1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0),
-    InvolutionKind.GRADE_INVERSE: (1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0),
-    InvolutionKind.REVERSE_GRADE_INVERSE: (1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0),
+    InvolutionKind.REVERSE: _REVERSE_SIGNS,
+    InvolutionKind.GRADE_INVERSE: _GRADE_SIGNS,
+    InvolutionKind.REVERSE_GRADE_INVERSE: tuple(map(operator.mul, _REVERSE_SIGNS, _GRADE_SIGNS)),
 }
 
 
@@ -327,21 +335,24 @@ def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
     The four-factor product x * rev(x) * gradeinv(x) * gradeinv(rev(x)) must
     be a scalar; a residue above tolerance means the sign tables are corrupt,
     so it raises ``AssertionError`` (also under ``python -O``) rather than
-    being silently projected away.
+    being silently projected away.  Raises ``NonFiniteError`` when the
+    determinant or the adjugate overflows double precision.
     """
     t = x.t
     mul = _PRODUCTS[x.sig]
     rev = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.REVERSE], t))
     gi = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.GRADE_INVERSE], t))
     gi_rev = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.REVERSE_GRADE_INVERSE], t))
-    adj = Multivector(x.sig, mul(mul(rev, gi), gi_rev))
-    prod = mul(t, adj.t)
+    adj = mul(mul(rev, gi), gi_rev)
+    prod = mul(t, adj)
+    # Each slot of x * adj has one term per coefficient of adj, so a
+    # non-finite adjugate leaves no slot of the product finite.
     if not all(map(math.isfinite, prod)):
-        raise NonFiniteError("multivector coefficients must be finite")
+        raise NonFiniteError(f"determinant of {x!r} overflows double precision")
     residue = max(map(abs, prod[1:]))
     if residue ** 0.25 > _RESIDUE_ROOT * max(sum(map(abs, t)), 1.0):
         raise AssertionError(f"non-scalar residue {residue:.3e} in determinant product")
-    return adj, prod[0]
+    return Multivector(x.sig, adj), prod[0]
 
 
 def determinant(x: Multivector) -> float:

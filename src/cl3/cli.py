@@ -28,6 +28,21 @@ from .exponential import exp, exp_factors
 from .functions import hyperbolic_exact, ratio_exact, trig_exact
 
 _BLADE_INDEX = {name: i for i, name in enumerate(BLADE_NAMES) if name != "1"}
+# One call per function of ``eval`` and ``compare``.  Each entry looks its
+# function up when called, so a wrapper bound later in this module's
+# namespace (a tracer's span, say) is the one that runs.
+_EVAL = {
+    "exp": lambda x: exp(x),
+    "sin": lambda x: trig_exact(x, "sin"),
+    "cos": lambda x: trig_exact(x, "cos"),
+    "tan": lambda x: ratio_exact(x, "tan"),
+    "sinh": lambda x: hyperbolic_exact(x, "sinh"),
+    "cosh": lambda x: hyperbolic_exact(x, "cosh"),
+    "tanh": lambda x: ratio_exact(x, "tanh"),
+    "inv": lambda x: inverse(x).inverse,
+    "det": lambda x: determinant(x),
+    "det-norm": lambda x: det_norm(x),
+}
 # Functions with both a closed form and a series (their SeriesFamily values).
 _SERIES_FAMILIES = ("exp", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 _CONVERGENCE_WARN = 1e-6
@@ -61,10 +76,8 @@ def _parse_terms(text: str, sig: Signature) -> Multivector:
             raise MVParseError("expected '+' or '-' between terms", column=pos + 1)
         value = 1.0
         blade_idx = 0
-        have_number = False
         if m.lastgroup == "num":
             value = float(m.group("num"))
-            have_number = True
             pos = m.end()
             m2 = _TOKEN.match(text, pos)
             if m2 and m2.lastgroup == "op" and m2.group("op") == "*":
@@ -79,8 +92,6 @@ def _parse_terms(text: str, sig: Signature) -> Multivector:
             pos = m.end()
         else:
             raise MVParseError(f"unexpected {m.group()!r}", column=pos + 1)
-        if not have_number and blade_idx == 0:
-            raise MVParseError("term has neither coefficient nor blade", column=pos + 1)
         coeffs[blade_idx] += sign * value
         sign = 1.0
         expect_term = False
@@ -134,48 +145,18 @@ def render_mv(mv: Multivector, digits: int = 8) -> str:
     return _render(mv.t, digits)
 
 
-def _mv_json(mv: Multivector) -> dict:
-    return {
-        "algebra": mv.sig.name.lower(),
-        "coeffs": list(mv.t),
-        "basis": list(BLADE_NAMES),
-    }
-
-
-def _closed_form(fn: str, mv: Multivector) -> Multivector:
-    if fn == "exp":
-        return exp(mv)
-    if fn in ("sin", "cos"):
-        return trig_exact(mv, fn)
-    if fn in ("sinh", "cosh"):
-        return hyperbolic_exact(mv, fn)
-    if fn in ("tan", "tanh"):
-        return ratio_exact(mv, fn)
-    raise ValueError(f"{fn} has no closed form")
-
-
 def _cmd_eval(args) -> int:
     sig = Signature.from_name(args.algebra)
     mv = parse_mv(args.mv, sig)
     fn = args.fn
 
-    if fn in _SERIES_FAMILIES and args.series:
-        _emit_mv(_series(fn, mv, args.terms), args)
-        return 0
     if args.series:
-        raise Cl3Error(f"--series does not apply to --fn {fn}")
-
-    if fn in _SERIES_FAMILIES:
-        _emit_mv(_closed_form(fn, mv), args)
+        if fn not in _SERIES_FAMILIES:
+            raise Cl3Error(f"--series does not apply to --fn {fn}")
+        _emit(_series(fn, mv, args.terms), args)
         return 0
-    if fn == "inv":
-        _emit_mv(inverse(mv).inverse, args)
-        return 0
-    if fn == "det":
-        _emit_scalar(determinant(mv), args)
-        return 0
-    if fn == "det-norm":
-        _emit_scalar(det_norm(mv), args)
+    if fn in _EVAL:
+        _emit(_EVAL[fn](mv), args)
         return 0
     if fn == "sqrt-center":
         ce = center_decompose(mv)
@@ -226,18 +207,13 @@ def _series(fn: str, mv: Multivector, terms: int) -> Multivector:
     return result
 
 
-def _emit_mv(mv: Multivector, args) -> None:
-    if args.format == "json":
-        print(json.dumps(_mv_json(mv)))
+def _emit(value: Multivector | float, args) -> None:
+    if type(value) is not Multivector:
+        print(json.dumps({"value": value}) if args.format == "json" else f"{value:.{args.digits}g}")
+    elif args.format == "json":
+        print(json.dumps({"algebra": value.sig.name.lower(), "coeffs": list(value.t), "basis": list(BLADE_NAMES)}))
     else:
-        print(render_mv(mv, args.digits))
-
-
-def _emit_scalar(value: float, args) -> None:
-    if args.format == "json":
-        print(json.dumps({"value": value}))
-    else:
-        print(f"{value:.{args.digits}g}")
+        print(render_mv(value, args.digits))
 
 
 def _cmd_compare(args) -> int:
@@ -245,7 +221,7 @@ def _cmd_compare(args) -> int:
     mv = parse_mv(args.mv, sig)
     if args.fn not in _SERIES_FAMILIES:
         raise Cl3Error(f"--fn {args.fn} has no series family to compare against")
-    closed = _closed_form(args.fn, mv)
+    closed = _EVAL[args.fn](mv)
     approx = _series(args.fn, mv, args.terms)
     max_delta = max(abs(a - b) for a, b in zip(closed.t, approx.t))
     if args.format == "json":
@@ -299,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cl3",
         description="Geometric-algebra special functions in the four 3D Clifford algebras.",
-        epilog="GA_EPS (default 1e-12) sets only the branch label of --fn exp-factors; exp has no tolerance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -310,10 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", default="text", choices=["text", "json"])
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate one function of one multivector")
-    p_eval.add_argument("--fn", required=True, choices=[
-        "exp", "sin", "cos", "tan", "sinh", "cosh", "tanh",
-        "inv", "det", "det-norm", "sqrt-center", "exp-factors",
-    ])
+    p_eval.add_argument("--fn", required=True, choices=[*_EVAL, "sqrt-center", "exp-factors"])
     p_eval.add_argument("--series", action="store_true", help="use the series evaluator instead of the closed form")
     p_eval.add_argument("--terms", type=int, default=20, help="series order for --series (default 20)")
     p_eval.set_defaults(run=_cmd_eval)

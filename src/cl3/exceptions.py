@@ -22,10 +22,6 @@ class NonFiniteError(Cl3Error, ValueError):
     """A coefficient is infinite or NaN, or a result overflows double precision."""
 
 
-class ToleranceError(Cl3Error, ValueError):
-    """The ``GA_EPS`` environment variable is not a finite, non-negative number."""
-
-
 class NoIsolatedRootError(Cl3Error):
     """The center element has no isolated square root under this signature."""
 

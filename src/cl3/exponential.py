@@ -10,8 +10,7 @@ plane; where e123^2 = +1 (CL03, CL21) it splits into the two real halves
 to short Maclaurin polynomials near zero, at fixed points.
 
 ``exp_factors`` reports the factor pair and a branch label for diagnosis
-only; the ``GA_EPS`` environment variable (default 1e-12) sets the
-tolerance of that label and nothing else.
+only; the label's tolerance is fixed, and ``exp`` never reads it.
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import os
-from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import _PRODUCTS, BLADE_GRADES, Multivector, Signature
 from .center import center_decompose
-from .exceptions import MixedGradeInputError, NonFiniteError, ToleranceError
+from .exceptions import MixedGradeInputError, NonFiniteError
 
 __all__ = [
     "ExpBranch",
@@ -36,28 +33,19 @@ __all__ = [
     "exp_particular",
 ]
 
-
-@lru_cache(maxsize=8)
-def _eps_multiplier(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ToleranceError(f"GA_EPS must be a finite, non-negative number, got {raw!r}")
-    return value
+# Relative tolerance of the ``exp_factors`` branch label.
+_LABEL_EPS = 1e-12
 
 
 def degeneracy_eps(x: Multivector) -> float:
     """Threshold below which ``exp_factors`` labels a factor square as zero.
 
     Scales with the squared size of the vector+bivector part, so the label
-    does not depend on the input's overall scale.  The multiplier is read
-    from ``GA_EPS`` on every call (default 1e-12); ``exp`` never reads it.
+    does not depend on the input's overall scale; ``exp`` never reads it.
     """
     _, a1, a2, a3, a12, a13, a23, _ = x.t
     ss = a1 * a1 + a2 * a2 + a3 * a3 + a12 * a12 + a13 * a13 + a23 * a23
-    return _eps_multiplier(os.environ.get("GA_EPS", "1e-12")) * (ss + 1.0)
+    return _LABEL_EPS * (ss + 1.0)
 
 
 class ExpBranch(enum.Enum):
@@ -87,14 +75,13 @@ class ExpFactors(NamedTuple):
     c_norm: float | None = None
 
 
-def _branch(plus_zero: bool, minus_zero: bool) -> ExpBranch:
-    if plus_zero and minus_zero:
-        return ExpBranch.BOTH_DEGENERATE
-    if plus_zero:
-        return ExpBranch.PLUS_DEGENERATE
-    if minus_zero:
-        return ExpBranch.MINUS_DEGENERATE
-    return ExpBranch.GENERIC
+# (plus factor square is zero, minus factor square is zero) -> label.
+_BRANCH = {
+    (False, False): ExpBranch.GENERIC,
+    (True, False): ExpBranch.PLUS_DEGENERATE,
+    (False, True): ExpBranch.MINUS_DEGENERATE,
+    (True, True): ExpBranch.BOTH_DEGENERATE,
+}
 
 
 _SQUARES = {sig: tuple(map(float, sig.squares)) for sig in Signature}
@@ -126,9 +113,9 @@ def exp_factors(x: Multivector) -> ExpFactors:
         root = cmath.sqrt(complex(ce.a_s, ce.a_i))
         ap, am = root.real, root.imag
         aps, ams = ap * ap, am * am
-        return ExpFactors(sig, _branch(aps <= eps, ams <= eps), aps, ams, ap, am, aps + ams)
+        return ExpFactors(sig, _BRANCH[aps <= eps, ams <= eps], aps, ams, ap, am, aps + ams)
     *_, aps, ams = _halves(x.t, *_SQUARES[sig])
-    branch = _branch(abs(aps) <= eps, abs(ams) <= eps)
+    branch = _BRANCH[abs(aps) <= eps, abs(ams) <= eps]
     if sig is Signature.CL21:
         return ExpFactors(sig, branch, aps, ams)
     # CL03: every vector squares negative, so the halves are rotations.
@@ -137,7 +124,7 @@ def exp_factors(x: Multivector) -> ExpFactors:
 
 # Each Maclaurin polynomial below is used where its first dropped term
 # (s^5/11!, s^5/10!) is below 1e-20: fixed switch points, independent of
-# the input's scale and of GA_EPS.  Horner order adds the leading 1 last.
+# the input's scale.  Horner order adds the leading 1 last.
 def _si(s):
     """sinh(sqrt(s))/sqrt(s), an entire function of a real or complex s."""
     if abs(s) <= 2.5e-3:

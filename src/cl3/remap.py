@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import (
     _BLADE_MASKS,
+    _blade_name,
     _product_kernel,
     BLADE_NAMES,
     Multivector,
@@ -37,8 +38,8 @@ __all__ = [
 ]
 
 # Even-grade blades of a 4D algebra, graded and ascending like the 3D order.
-EVEN_BLADE_NAMES = ("1", "e12", "e13", "e14", "e23", "e24", "e34", "e1234")
 _EVEN_MASKS = (0b0000, 0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100, 0b1111)
+EVEN_BLADE_NAMES = tuple(map(_blade_name, _EVEN_MASKS))
 
 _EVEN_SQUARES = {"cl13": (1, -1, -1, -1), "cl31": (1, 1, 1, -1)}
 _EVEN_PRODUCTS = {name: _product_kernel(_EVEN_MASKS, sq) for name, sq in _EVEN_SQUARES.items()}

@@ -36,7 +36,7 @@ from cl3 import (
     involute,
     sign_table,
 )
-from cl3.algebra import blade_product
+from cl3.algebra import _INVOLUTION_SIGNS, blade_product
 from conftest import ALL_SIGS, max_err, rand_mv
 from reference_values import REF_COEFFS, REF_DET
 
@@ -268,6 +268,17 @@ def test_determinant_overflow_is_a_typed_error():
             f(x)
 
 
+@pytest.mark.parametrize("sig", [Signature.CL30, Signature.CL03])
+@pytest.mark.parametrize("scale", [3e76, 1e103])
+def test_determinant_overflow_names_the_overflow(sig, scale):
+    # At 3e76 only x * adj overflows; at 1e103 the adjugate itself does.
+    # Every input coefficient is finite, so the message names the overflow.
+    x = Multivector(sig, (3, 1, 2, 1, 2, 1, 3, 1)) * scale
+    for f in (determinant, inverse, det_norm, adjugate):
+        with pytest.raises(NonFiniteError, match=r"^determinant of Multivector\(.+\) overflows double precision$"):
+            f(x)
+
+
 def test_det_norm_reference():
     x = Multivector(Signature.CL30, REF_COEFFS)
     assert abs(det_norm(x) - REF_DET ** 0.25) < 1e-10
@@ -321,6 +332,19 @@ def test_even_product_kernel_matches_blade_products(algebra):
             mask, s = blade_product(mask_a, mask_b, EVEN_SQUARES[algebra])
             got = even_geometric_product(EvenMultivector(algebra, unit[i]), EvenMultivector(algebra, unit[j]))
             assert got.c.tolist() == (s * unit[EVEN_MASKS.index(mask)]).tolist()
+
+
+def test_derived_blade_tables_equal_their_literals():
+    # The tables are built from the generator masks and the grades.
+    assert cl3.BLADE_NAMES == ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
+    assert cl3.BLADE_GRADES == (0, 1, 1, 1, 2, 2, 2, 3)
+    assert EVEN_BLADE_NAMES == ("1", "e12", "e13", "e14", "e23", "e24", "e34", "e1234")
+    assert _INVOLUTION_SIGNS == {
+        InvolutionKind.REVERSE: (1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0),
+        InvolutionKind.GRADE_INVERSE: (1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0),
+        InvolutionKind.REVERSE_GRADE_INVERSE: (1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0),
+    }
+    assert all(type(v) is float for signs in _INVOLUTION_SIGNS.values() for v in signs)
 
 
 def test_coefficient_views():

@@ -267,22 +267,24 @@ def test_error_exit_codes(capsys):
     assert code == 1 and "determinant" in err
 
 
-def test_ga_eps_env_changes_branch(capsys, monkeypatch):
-    literal = "0,1,0,0,1,0,0.0001,0"
-    _, out_default, _ = _run(capsys, ["eval", "--fn", "exp-factors", "--mv", literal, "--format", "json"])
-    monkeypatch.setenv("GA_EPS", "1e-2")
-    _, out_loose, _ = _run(capsys, ["eval", "--fn", "exp-factors", "--mv", literal, "--format", "json"])
-    assert json.loads(out_default)["branch"] == "generic"
-    assert json.loads(out_loose)["branch"] == "both-degenerate"
-
-
 def test_overflow_and_bad_ga_eps_exit_cleanly(capsys, monkeypatch):
     code, out, err = _run(capsys, ["eval", "--fn", "exp", "--mv", "800,1,0,0,0,0,0,0"])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
+    # GA_EPS is not read: a value that is no number changes nothing.
+    argv = ["eval", "--fn", "exp-factors", "--mv", "0,1,0,0,0,0,0,0"]
+    default = _run(capsys, argv)
     monkeypatch.setenv("GA_EPS", "tiny")
-    code, _, err = _run(capsys, ["eval", "--fn", "exp-factors", "--mv", "0,1,0,0,0,0,0,0"])
-    assert code == 1 and err.startswith("error: GA_EPS") and len(err.splitlines()) == 1
+    assert _run(capsys, argv) == default and default[0] == 0 and default[2] == ""
+
+
+@pytest.mark.parametrize("fn", ["det", "inv", "det-norm"])
+def test_determinant_overflow_names_the_overflow(capsys, fn):
+    # Every coefficient is finite; the determinant (about 5e308) is not.
+    code, out, err = _run(capsys, ["eval", "--fn", fn, "--mv", "9e76,3e76,6e76,3e76,6e76,3e76,9e76,3e76"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: determinant of ") and err.rstrip().endswith("overflows double precision")
+    assert len(err.splitlines()) == 1
 
 
 def test_console_entry_point_runs():

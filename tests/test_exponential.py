@@ -1,5 +1,6 @@
 """Closed-form exponential: snapshots, properties, degenerate branches."""
 
+import json
 import math
 
 import mpmath
@@ -15,7 +16,6 @@ from cl3 import (
     SeriesFamily,
     SeriesSpec,
     Signature,
-    ToleranceError,
     blade,
     exp,
     exp_factors,
@@ -26,6 +26,7 @@ from cl3 import (
     series_eval,
     sign_table,
 )
+from cl3.cli import main
 from conftest import ALL_SIGS, cl03_degenerate, max_err, null_vector_bivector, rand_mv
 from reference_values import EXP_OF_REF, REF_COEFFS, REF_SCALE, TABLE_TOL
 
@@ -339,13 +340,6 @@ def test_determinant_factorizations_through_factors(rng):
                 assert abs(det - (f.a_plus_sq + f.a_minus_sq) ** 2) <= 1e-10 * scale
 
 
-def test_ga_eps_override_switches_branch(rng, monkeypatch):
-    x = Multivector(Signature.CL30, [0.0, 1, 0, 0, 1, 0, 1e-4, 0.0])
-    assert exp_factors(x).branch is ExpBranch.GENERIC
-    monkeypatch.setenv("GA_EPS", "1e-3")
-    assert exp_factors(x).branch is ExpBranch.BOTH_DEGENERATE
-
-
 def _left_regular(x):
     """8x8 matrix L with L @ y = coefficients of x * y, from the sign table."""
     index, sign = sign_table(x.sig)
@@ -389,21 +383,23 @@ def test_cl30_large_scale_near_nilpotent_matches_mpmath(rng):
             assert exp_factors(n * 10.0**k).branch is ExpBranch.BOTH_DEGENERATE
 
 
-def test_exp_ignores_ga_eps(monkeypatch):
-    # GA_EPS=1e-3 labels this near-nilpotent input both-degenerate; the
-    # exponential itself has no tolerance and must not change.
+def test_exp_ignores_ga_eps(monkeypatch, capsys):
+    # The branch label's tolerance is a constant: no environment variable
+    # changes the label, the factors, the exponential or the CLI's report.
+    # (A label tolerance of 1e-3 would call this input both-degenerate.)
     x = Multivector(Signature.CL30, [0.0, 1, 0, 0, 1, 0, 1e-4, 0.0])
-    default = exp(x).t
-    monkeypatch.setenv("GA_EPS", "1e-3")
-    assert exp_factors(x).branch is ExpBranch.BOTH_DEGENERATE
-    assert exp(x).t == default
-
-
-@pytest.mark.parametrize("raw", ["abc", "", "nan", "inf", "-1e-3"])
-def test_bad_ga_eps_is_a_typed_error(raw, monkeypatch):
-    monkeypatch.setenv("GA_EPS", raw)
-    with pytest.raises(ToleranceError, match="GA_EPS"):
-        exp_factors(blade(Signature.CL30, "e1"))
+    argv = ["eval", "--fn", "exp-factors", "--mv", "0,1,0,0,1,0,0.0001,0", "--format", "json"]
+    seen = []
+    for raw in (None, "1e-3", "0", "junk"):
+        if raw is None:
+            monkeypatch.delenv("GA_EPS", raising=False)
+        else:
+            monkeypatch.setenv("GA_EPS", raw)
+        assert main(argv) == 0
+        seen.append((exp_factors(x), exp(x).t, capsys.readouterr()))
+    assert seen[0][0].branch is ExpBranch.GENERIC
+    assert seen[0][2].err == "" and json.loads(seen[0][2].out)["branch"] == "generic"
+    assert all(s == seen[0] for s in seen[1:])
 
 
 @pytest.mark.parametrize("sig", ALL_SIGS)

@@ -17,43 +17,49 @@ from .exponential import exp
 __all__ = ["trig_exact", "hyperbolic_exact", "ratio_exact", "normalize"]
 
 
-def trig_exact(x: Multivector, which: str) -> Multivector:
-    """sin or cos of a multivector with commuting imaginary pseudoscalar."""
-    if which not in ("sin", "cos"):
-        raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
+def _trig(x: Multivector, names: tuple[str, ...]) -> list[Multivector]:
+    """sin/cos of ``x`` for each name, from one pair e^{-/+ e123 x}."""
     if x.sig.i_square != -1:
         raise UnsupportedSignatureError(
-            f"{which} needs e123^2 = -1 (cl30 or cl12); use the series evaluator for {x.sig.name.lower()}"
+            f"{names[0]} needs e123^2 = -1 (cl30 or cl12); use the series evaluator for {x.sig.name.lower()}"
         )
     i_mv = blade(x.sig, "e123")
     ia = geometric_product(i_mv, x)
     e_neg, e_pos = exp(-ia), exp(ia)
-    if which == "cos":
-        return (e_neg + e_pos) * 0.5
-    return geometric_product(i_mv, e_neg - e_pos) * 0.5
+    return [(e_neg + e_pos) * 0.5 if name == "cos" else geometric_product(i_mv, e_neg - e_pos) * 0.5
+            for name in names]
+
+
+def _hyperbolic(x: Multivector, names: tuple[str, ...]) -> list[Multivector]:
+    """sinh/cosh of ``x`` for each name, from one pair e^{+/-x}."""
+    e_pos, e_neg = exp(x), exp(-x)
+    return [(e_pos - e_neg) * 0.5 if name == "sinh" else (e_pos + e_neg) * 0.5 for name in names]
+
+
+def trig_exact(x: Multivector, which: str) -> Multivector:
+    """sin or cos of a multivector with commuting imaginary pseudoscalar."""
+    if which not in ("sin", "cos"):
+        raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
+    return _trig(x, (which,))[0]
 
 
 def hyperbolic_exact(x: Multivector, which: str) -> Multivector:
     """sinh or cosh of a general multivector, any of the four algebras."""
     if which not in ("sinh", "cosh"):
         raise ValueError(f"which must be 'sinh' or 'cosh', got {which!r}")
-    e_pos, e_neg = exp(x), exp(-x)
-    if which == "sinh":
-        return (e_pos - e_neg) * 0.5
-    return (e_pos + e_neg) * 0.5
+    return _hyperbolic(x, (which,))[0]
 
 
 def ratio_exact(x: Multivector, which: str) -> Multivector:
     """tan or tanh via the exact inverse of cos/cosh.
 
-    Propagates ``NonInvertibleError`` when the denominator has no inverse.
+    Numerator and denominator share one pair of exponentials.  Propagates
+    ``NonInvertibleError`` when the denominator has no inverse.
     """
     if which == "tanh":
-        num = hyperbolic_exact(x, "sinh")
-        den = hyperbolic_exact(x, "cosh")
+        num, den = _hyperbolic(x, ("sinh", "cosh"))
     elif which == "tan":
-        num = trig_exact(x, "sin")
-        den = trig_exact(x, "cos")
+        num, den = _trig(x, ("sin", "cos"))
     else:
         raise ValueError(f"which must be 'tan' or 'tanh', got {which!r}")
     return geometric_product(num, inverse(den).inverse)

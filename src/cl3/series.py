@@ -2,9 +2,9 @@
 
 A series of order ``n`` keeps every term of degree at most ``n``, matching
 the subscript convention of the reference tables (the order-6 hyperbolic
-sine is A + A^3/3! + A^5/5!).  Coefficient families are generated exactly
-as rationals (Bernoulli numbers for the tangent families, Euler numbers
-for the secant families) and converted to float only at evaluation time.
+sine is A + A^3/3! + A^5/5!).  Coefficients are rounded once to float:
+the tangent and secant families from exact rationals (Bernoulli and Euler
+numbers), the others as 1 / p! straight from the integer p!.
 Evaluation is Horner-style: one geometric product per series term, nested
 in the square of the argument for the even/odd families.
 """
@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import _PRODUCTS, Multivector, geometric_product
 from .exceptions import SeriesOrderError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MAX_TABLE_ORDER",
@@ -55,21 +57,22 @@ _TABLE_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(NamedTuple("SeriesSpec", [("family", SeriesFamily), ("terms", int)])):
     """Family plus series order (highest power of the argument retained)."""
 
-    family: SeriesFamily
-    terms: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.terms < 1:
-            raise ValueError(f"series order must be at least 1, got {self.terms}")
+    def __new__(cls, family: SeriesFamily, terms: int):
+        if terms < 1:
+            raise ValueError(f"series order must be at least 1, got {terms}")
+        return super().__new__(cls, family, terms)
 
 
 @lru_cache(maxsize=None)
 def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     """B_0..B_n as exact fractions (Akiyama-Tanigawa, B_1 = -1/2)."""
+    from fractions import Fraction
+
     row = [Fraction(0)] * (n + 1)
     out = []
     for m in range(n + 1):
@@ -89,6 +92,8 @@ def euler_numbers(n: int) -> tuple[Fraction, ...]:
     Generated from the reciprocal condition sech * cosh = 1, which is where
     the secant-family series coefficients come from in the first place.
     """
+    from fractions import Fraction
+
     even = [Fraction(1)]
     for k in range(1, n // 2 + 1):
         acc = Fraction(0)
@@ -137,28 +142,16 @@ def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tupl
     if hyper is SeriesFamily.TANH:
         bern = bernoulli_numbers(order + 1)
         # x^p takes 2^n (2^n - 1) B_n / n! with n = p + 1.
-        coeffs = [Fraction(2 ** (p + 1) * (2 ** (p + 1) - 1)) * bern[p + 1] / math.factorial(p + 1)
-                  for p in powers]
+        coeffs = [2 ** (p + 1) * (2 ** (p + 1) - 1) * bern[p + 1] / math.factorial(p + 1) for p in powers]
     elif hyper is SeriesFamily.SECH_EULER:
         eul = euler_numbers(order)
         coeffs = [eul[p] / math.factorial(p) for p in powers]
     else:
-        coeffs = [Fraction(1, math.factorial(p)) for p in powers]
+        # Integer true division rounds correctly: 1 / p! is float(Fraction(1, p!)).
+        coeffs = [1 / math.factorial(p) for p in powers]
     if hyper is not family:
         coeffs = [-c if p // 2 % 2 else c for p, c in zip(powers, coeffs)]
     return tuple(powers), tuple(float(c) for c in coeffs)
-
-
-def _power(x: Multivector, n: int) -> Multivector:
-    result = Multivector.scalar(x.sig, 1.0)
-    base = x
-    while n:
-        if n & 1:
-            result = geometric_product(result, base)
-        n >>= 1
-        if n:
-            base = geometric_product(base, base)
-    return result
 
 
 def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False):
@@ -185,6 +178,17 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
 
     if not return_last_term:
         return acc
-    tail = _power(x, powers[-1]) * coeffs[-1]
-    delta = max(map(abs, tail.t))
-    return acc, delta
+    # x^N by binary powering on tuples.  The first set bit takes its base as
+    # is: 1 * b would differ only in the sign of zeros, which abs drops.  A
+    # non-finite operand leaves no slot of a product finite, so an overflow
+    # anywhere reaches the one Multivector check at the end.
+    n, power, b = powers[-1], None, x.t
+    while n:
+        if n & 1:
+            power = b if power is None else prod(power, b)
+        n >>= 1
+        if n:
+            b = prod(b, b)
+    c = coeffs[-1]
+    tail = Multivector(x.sig, tuple([v * c for v in power or (1.0,) + (0.0,) * 7]))
+    return acc, max(map(abs, tail.t))

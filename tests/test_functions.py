@@ -1,10 +1,12 @@
 """Exact trig/hyperbolic functions, their identities, and normalization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import cl3.functions as functions_module
 from cl3 import (
     Multivector,
     NonInvertibleError,
@@ -16,6 +18,7 @@ from cl3 import (
     determinant,
     geometric_product,
     hyperbolic_exact,
+    inverse,
     normalize,
     ratio_exact,
     series_eval,
@@ -67,8 +70,38 @@ def test_trig_rejects_positive_pseudoscalar_square():
     for sig in (Signature.CL03, Signature.CL21):
         with pytest.raises(UnsupportedSignatureError):
             trig_exact(Multivector.zero(sig), "sin")
-        with pytest.raises(UnsupportedSignatureError):
+        # tan names its numerator, sin, as it did when it called trig_exact twice.
+        text = f"sin needs e123^2 = -1 (cl30 or cl12); use the series evaluator for {sig.name.lower()}"
+        with pytest.raises(UnsupportedSignatureError, match=f"^{re.escape(text)}$"):
             ratio_exact(Multivector.zero(sig), "tan")
+
+
+def test_each_function_takes_one_pair_of_exponentials(rng, monkeypatch):
+    calls = []
+    real_exp = functions_module.exp
+    monkeypatch.setattr(functions_module, "exp", lambda x: calls.append(x) or real_exp(x))
+    for sig in ALL_SIGS:
+        x = rand_mv(rng, sig)
+        cases = [(ratio_exact, "tanh"), (hyperbolic_exact, "sinh"), (hyperbolic_exact, "cosh")]
+        if sig in TRIG_SIGS:
+            cases += [(ratio_exact, "tan"), (trig_exact, "sin"), (trig_exact, "cos")]
+        for fn, which in cases:
+            calls.clear()
+            fn(x, which)
+            assert len(calls) == 2, (sig, which)
+
+
+def test_ratio_is_bit_identical_to_explicit_quotient(rng):
+    for sig in ALL_SIGS:
+        pairs = [("tanh", hyperbolic_exact, "sinh", "cosh")]
+        if sig in TRIG_SIGS:
+            pairs.append(("tan", trig_exact, "sin", "cos"))
+        for _ in range(20):
+            x = rand_mv(rng, sig, 2.0)
+            for which, fn, num, den in pairs:
+                want = geometric_product(fn(x, num), inverse(fn(x, den)).inverse)
+                got = ratio_exact(x, which)
+                assert [v.hex() for v in got.t] == [v.hex() for v in want.t], (sig, which)
 
 
 def test_ratio_propagates_non_invertible():

@@ -1,9 +1,10 @@
 """``import cl3`` and each CLI subcommand load only the modules they use.
 
 The names of ``cl3.remap``, ``cl3.series`` and ``cl3.spin`` resolve on first
-use, and the closed-form path defines no dataclass.  Each check runs in a
-fresh interpreter and reads ``sys.modules``; modules the interpreter had
-loaded before ``import cl3`` are not counted against the library.
+use, and neither the closed-form path nor ``cl3 compare`` defines a
+dataclass.  Each check runs in a fresh interpreter and reads
+``sys.modules``; modules the interpreter had loaded before ``import cl3``
+are not counted against the library.
 """
 
 import json
@@ -86,7 +87,7 @@ def test_eval_loads_no_series_spin_remap_or_dataclasses():
 def test_compare_loads_series_but_not_spin_or_remap():
     _, loaded = _loaded([["compare", "--fn", "sin", "--terms", "12", "--mv", _LITERAL, "--format", "json"]])
     assert "cl3.series" in loaded
-    assert not loaded & {"cl3.spin", "cl3.remap"}
+    assert not loaded & {"cl3.spin", "cl3.remap", "dataclasses", "fractions"}
 
 
 _PUBLIC = """
@@ -146,6 +147,15 @@ def test_exp_factors_is_an_immutable_picklable_record():
         assert pickle.loads(pickle.dumps(got)) == got
         with pytest.raises(AttributeError):
             got.branch = ExpBranch.BOTH_DEGENERATE
+
+
+def test_series_spec_is_an_immutable_picklable_record():
+    spec = cl3.SeriesSpec(cl3.SeriesFamily.TANH, 12)
+    assert cl3.SeriesSpec._fields == ("family", "terms")
+    assert spec == (cl3.SeriesFamily.TANH, 12) and pickle.loads(pickle.dumps(spec)) == spec
+    assert repr(spec) == "SeriesSpec(family=<SeriesFamily.TANH: 'tanh'>, terms=12)"
+    with pytest.raises(AttributeError):
+        spec.terms = 3
 
 
 def _trace(argv):

@@ -9,15 +9,18 @@ import pytest
 from cl3 import (
     MAX_TABLE_ORDER,
     Multivector,
+    NonFiniteError,
     SeriesFamily,
     SeriesOrderError,
     SeriesSpec,
     Signature,
     bernoulli_numbers,
     euler_numbers,
+    geometric_product,
     series_eval,
 )
 from cl3.series import _term_table
+from conftest import ALL_SIGS, rand_mv
 
 
 def test_bernoulli_values():
@@ -94,8 +97,9 @@ def test_table_order_cap_only_for_tabulated_families():
 
 
 def test_order_must_be_positive():
-    with pytest.raises(ValueError):
-        SeriesSpec(SeriesFamily.EXP, 0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="series order must be at least 1"):
+            SeriesSpec(SeriesFamily.EXP, bad)
 
 
 def test_last_term_delta_reporting():
@@ -105,3 +109,77 @@ def test_last_term_delta_reporting():
     assert abs(delta - s**7 / math.factorial(7)) < 1e-18
     value_only = series_eval(x, SeriesSpec(SeriesFamily.SINH, 7))
     assert isinstance(value_only, Multivector)
+
+
+def _exact_coefficient(family, p):
+    """The x^p coefficient of ``family`` as an exact fraction."""
+    trig = {"sin": "sinh", "cos": "cosh", "tan": "tanh", "sec": "sech"}
+    hyper = trig.get(family.value, family.value)
+    if hyper == "tanh":
+        n = p + 1
+        c = Fraction(2 ** n * (2 ** n - 1)) * bernoulli_numbers(n)[n] / math.factorial(n)
+    elif hyper == "sech":
+        c = euler_numbers(p)[p] / math.factorial(p)
+    else:
+        c = Fraction(1, math.factorial(p))
+    return -c if hyper != family.value and p // 2 % 2 else c
+
+
+def test_term_table_rounds_exact_fractions():
+    for family in SeriesFamily:
+        capped = family.value in ("tan", "tanh", "sec", "sech")
+        for order in range(1, (MAX_TABLE_ORDER if capped else 200) + 1):
+            if family.value in ("sinh", "sin", "tanh", "tan"):
+                want_powers = tuple(range(1, order + 1, 2))
+            elif family is SeriesFamily.EXP:
+                want_powers = tuple(range(order + 1))
+            else:
+                want_powers = tuple(range(0, order + 1, 2))
+            powers, coeffs = _term_table(family, order)
+            assert powers == want_powers, (family, order)
+            assert coeffs == tuple(float(_exact_coefficient(family, p)) for p in powers), (family, order)
+
+
+def _multivector_series_eval(x, spec):
+    """Horner on checked Multivector products, then the last term's power by
+    binary powering from the scalar 1: the reference the tuple code matches."""
+    powers, coeffs = _term_table(spec.family, spec.terms)
+    base = x if spec.family is SeriesFamily.EXP else geometric_product(x, x)
+    acc = Multivector.scalar(x.sig, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = geometric_product(acc, base) + c
+    if powers[0] == 1:
+        acc = geometric_product(acc, x)
+    power, base, n = Multivector.scalar(x.sig, 1.0), x, powers[-1]
+    while n:
+        if n & 1:
+            power = geometric_product(power, base)
+        n >>= 1
+        if n:
+            base = geometric_product(base, base)
+    return acc, max(map(abs, (power * coeffs[-1]).t))
+
+
+def test_series_eval_is_bit_identical_to_multivector_reference(rng):
+    for sig in ALL_SIGS:
+        xs = [rand_mv(rng, sig, 0.5) for _ in range(3)]
+        xs += [Multivector(sig, (0.0, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0, 0.0)), Multivector.scalar(sig, -0.7)]
+        for family in SeriesFamily:
+            for order in (1, 2, 20, 40) + ((61, 200) if family is SeriesFamily.EXP else ()):
+                spec = SeriesSpec(family, order)
+                for x in xs:
+                    want, want_delta = _multivector_series_eval(x, spec)
+                    got, delta = series_eval(x, spec, return_last_term=True)
+                    assert [v.hex() for v in got.t] == [v.hex() for v in want.t], (sig, family, order)
+                    assert series_eval(x, spec) == got
+                    assert delta.hex() == want_delta.hex(), (sig, family, order)
+
+
+def test_last_term_overflow_is_a_typed_error():
+    # sum 1e8^p / p! stays finite up to p = 40, but the last term's power
+    # 1e8^40 overflows while it is built.
+    x = Multivector.scalar(Signature.CL30, 1e8)
+    spec = SeriesSpec(SeriesFamily.EXP, 40)
+    assert all(map(math.isfinite, series_eval(x, spec).t))
+    with pytest.raises(NonFiniteError, match="multivector coefficients must be finite"):
+        series_eval(x, spec, return_last_term=True)

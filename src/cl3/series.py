@@ -5,8 +5,10 @@ the subscript convention of the reference tables (the order-6 hyperbolic
 sine is A + A^3/3! + A^5/5!).  Coefficients are rounded once to float:
 the tangent and secant families from exact rationals (Bernoulli and Euler
 numbers), the others as 1 / p! straight from the integer p!.
-Evaluation is Horner-style: one geometric product per series term, nested
-in the square of the argument for the even/odd families.
+Evaluation splits x = c + y: c = a0 + a123·e123 is central and so is
+z = y².  Every power of x is then F + G·y with F, G in the center, and
+Horner runs on those four floats with the product of
+``center.center_product``, nested in x² for the even/odd families.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import _PRODUCTS, Multivector, geometric_product
+from .algebra import _PRODUCTS, Multivector
 from .exceptions import SeriesOrderError
 
 if TYPE_CHECKING:
@@ -154,41 +156,52 @@ def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tupl
     return tuple(powers), tuple(float(c) for c in coeffs)
 
 
+def _pair_product(a, b, z, k):
+    """(F + G·y)(P + Q·y) = (F·P + G·Q·z) + (F·Q + G·P)·y, each pair (F_s, F_i, G_s, G_i)."""
+    (fs, fi, gs, gi), (ps, pi, qs, qi) = a, b
+    ws, wi = qs * z[0] + k * qi * z[1], qs * z[1] + qi * z[0]
+    return (fs * ps + k * fi * pi + gs * ws + k * gi * wi, fs * pi + fi * ps + gs * wi + gi * ws,
+            fs * qs + k * fi * qi + gs * ps + k * gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
+
+
 def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False):
     """Evaluate a truncated function series of ``x``.
 
     Returns the multivector value, or ``(value, last_term_delta)`` where
     the delta is the largest coefficient magnitude of the final summed
-    term: a divergence indicator the caller can surface.
+    term c_N·x^N: a divergence indicator the caller can surface.  The
+    product kernel runs for y² and each G·y only, whatever the order.
     """
     powers, coeffs = _term_table(spec.family, spec.terms)
-    stride = 1 if spec.family is SeriesFamily.EXP else 2
-    base = x if stride == 1 else geometric_product(x, x)
-    odd_lead = powers[0] == 1
-
-    prod = _PRODUCTS[x.sig]
-    b = base.t
-    acc = (coeffs[-1], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    t, k, prod = x.t, x.sig.i_square, _PRODUCTS[x.sig]
+    y = (0.0, *t[1:7], 0.0)
+    yy = prod(y, y)
+    z, xp = (yy[0], yy[7]), (t[0], t[7], 1.0, 0.0)
+    ps, pi, qs, qi = xp if spec.family is SeriesFamily.EXP else _pair_product(xp, xp, z, k)
+    # The step is _pair_product inlined; k = ±1 folds into constants exactly.
+    ws, wi = qs * z[0] + k * qi * z[1], qs * z[1] + qi * z[0]
+    kpi, kqi, kwi = k * pi, k * qi, k * wi
+    fs, fi, gs, gi = coeffs[-1], 0.0, 0.0, 0.0
     for c in coeffs[-2::-1]:
-        p = prod(acc, b)
-        acc = (p[0] + c,) + p[1:]
-    if odd_lead:
-        acc = prod(acc, x.t)
-    acc = Multivector(x.sig, acc)
-
+        fs, fi, gs, gi = (fs * ps + fi * kpi + gs * ws + gi * kwi + c, fs * pi + fi * ps + gs * wi + gi * ws,
+                          fs * qs + fi * kqi + gs * ps + gi * kpi, fs * qi + fi * qs + gs * pi + gi * ps)
+    if powers[0] == 1:
+        fs, fi, gs, gi = _pair_product((fs, fi, gs, gi), xp, z, k)
+    gy = prod((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), y)
+    value = Multivector(x.sig, (fs, *gy[1:7], fi))
     if not return_last_term:
-        return acc
-    # x^N by binary powering on tuples.  The first set bit takes its base as
-    # is: 1 * b would differ only in the sign of zeros, which abs drops.  A
-    # non-finite operand leaves no slot of a product finite, so an overflow
-    # anywhere reaches the one Multivector check at the end.
-    n, power, b = powers[-1], None, x.t
+        return value
+    # c_N·x^N as (r·x)^N with r = |c_N|^(1/N), by binary powering on pairs:
+    # it stays finite wherever c_N·x^N does, although x^N alone may not.
+    n, c = powers[-1], coeffs[-1]
+    r = abs(c) ** (1.0 / n) if n else 0.0
+    power, b = None, (r * t[0], r * t[7], r, 0.0)
     while n:
         if n & 1:
-            power = b if power is None else prod(power, b)
+            power = b if power is None else _pair_product(power, b, z, k)
         n >>= 1
         if n:
-            b = prod(b, b)
-    c = coeffs[-1]
-    tail = Multivector(x.sig, tuple([v * c for v in power or (1.0,) + (0.0,) * 7]))
-    return acc, max(map(abs, tail.t))
+            b = _pair_product(b, b, z, k)
+    fs, fi, gs, gi = power or (abs(c), 0.0, 0.0, 0.0)
+    gy = prod((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), y)
+    return value, max(map(abs, Multivector(x.sig, (fs, *gy[1:7], fi)).t))

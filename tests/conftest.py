@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,17 @@ import pytest
 from cl3 import Multivector, Signature
 
 ALL_SIGS = tuple(Signature)
+
+
+@functools.lru_cache(maxsize=None)
+def bench_reference():
+    """``bench/reference.py``, the benchmark's independent 50-digit oracle,
+    imported by path so the tests and the benchmark share one copy."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_mv(rng, sig, scale=1.0):

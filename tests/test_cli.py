@@ -197,6 +197,15 @@ def test_compare_reports_scalar_gap(capsys):
     assert "may not have converged" in err
 
 
+def test_series_with_a_huge_last_term_exits_cleanly(capsys):
+    # x^40 overflows at x = 1e8; the value and c_40 * x^40 (about 1.2e272) do not.
+    code, out, err = _run(capsys, [
+        "eval", "--fn", "exp", "--series", "--terms", "40", "--mv", "1e8,0,0,0,0,0,0,0",
+    ])
+    assert code == 0, err
+    assert 1e272 < float(out) < 1.3e272
+
+
 def test_compare_json(capsys):
     code, out, _ = _run(capsys, [
         "compare", "--fn", "sinh", "--terms", "11", "--mv", REF_LITERAL, "--format", "json",

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,11 +17,11 @@ from cl3 import (
     Signature,
     bernoulli_numbers,
     euler_numbers,
-    geometric_product,
     series_eval,
 )
+from cl3 import series
 from cl3.series import _term_table
-from conftest import ALL_SIGS, rand_mv
+from conftest import ALL_SIGS, bench_reference, rand_mv
 
 
 def test_bernoulli_values():
@@ -140,46 +141,93 @@ def test_term_table_rounds_exact_fractions():
             assert coeffs == tuple(float(_exact_coefficient(family, p)) for p in powers), (family, order)
 
 
-def _multivector_series_eval(x, spec):
-    """Horner on checked Multivector products, then the last term's power by
-    binary powering from the scalar 1: the reference the tuple code matches."""
+def _exact_powers(x, top):
+    """x^0 .. x^top e_0 at the oracle's precision, on ``bench/reference.py``'s
+    left-regular matrix of ``x``."""
+    ref = bench_reference()
+    with mp.workdps(ref.ORACLE_DPS):
+        lx = ref._mp_left(x.sig.name.lower(), [mp.mpf(v) for v in x.t])
+        rows = [[lx[i, j] for j in range(8)] for i in range(8)]
+        out = [[mp.mpf(1)] + [mp.mpf(0)] * 7]
+        for _ in range(top):
+            out.append([mp.fdot(row, out[-1]) for row in rows])
+    return out
+
+
+def _exact_series(xp, spec):
+    """The float-coefficient polynomial of ``spec`` on exact powers ``xp``:
+    its value, the summed term size sum |c_p| max|x^p| and |c_N x^N|."""
     powers, coeffs = _term_table(spec.family, spec.terms)
-    base = x if spec.family is SeriesFamily.EXP else geometric_product(x, x)
-    acc = Multivector.scalar(x.sig, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = geometric_product(acc, base) + c
-    if powers[0] == 1:
-        acc = geometric_product(acc, x)
-    power, base, n = Multivector.scalar(x.sig, 1.0), x, powers[-1]
-    while n:
-        if n & 1:
-            power = geometric_product(power, base)
-        n >>= 1
-        if n:
-            base = geometric_product(base, base)
-    return acc, max(map(abs, (power * coeffs[-1]).t))
+    with mp.workdps(bench_reference().ORACLE_DPS):
+        sizes = [abs(mp.mpf(c)) * max(map(abs, xp[p])) for p, c in zip(powers, coeffs)]
+        value = [mp.fsum(mp.mpf(c) * xp[p][i] for p, c in zip(powers, coeffs)) for i in range(8)]
+        return value, mp.fsum(sizes), sizes[-1]
 
 
-def test_series_eval_is_bit_identical_to_multivector_reference(rng):
+def test_series_eval_matches_exact_polynomial(rng):
     for sig in ALL_SIGS:
         xs = [rand_mv(rng, sig, 0.5) for _ in range(3)]
         xs += [Multivector(sig, (0.0, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0, 0.0)), Multivector.scalar(sig, -0.7)]
-        for family in SeriesFamily:
-            for order in (1, 2, 20, 40) + ((61, 200) if family is SeriesFamily.EXP else ()):
-                spec = SeriesSpec(family, order)
-                for x in xs:
-                    want, want_delta = _multivector_series_eval(x, spec)
+        for x in xs:
+            xp = _exact_powers(x, 200)
+            for family in SeriesFamily:
+                for order in (1, 2, 20, 40) + ((61, 200) if family is SeriesFamily.EXP else ()):
+                    spec = SeriesSpec(family, order)
+                    want, scale, last = _exact_series(xp, spec)
                     got, delta = series_eval(x, spec, return_last_term=True)
-                    assert [v.hex() for v in got.t] == [v.hex() for v in want.t], (sig, family, order)
                     assert series_eval(x, spec) == got
-                    assert delta.hex() == want_delta.hex(), (sig, family, order)
+                    err = max(abs(g - float(w)) for g, w in zip(got.t, want)) / float(scale)
+                    assert err <= 1e-14, (sig, family, order, err)
+                    assert abs(delta - float(last)) <= 1e-13 * float(last), (sig, family, order)
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS, ids=lambda s: s.name)
+def test_small_slots_are_componentwise_accurate(sig):
+    # A small e123 slot, then a small scalar slot: a full geometric product
+    # per term loses them to rounding in its other slots (up to 8e-9 relative).
+    for coeffs in ((0.3, 0.1, 0.2, -0.1, 0.0, 0.0, 0.0, 1e-8), (1e-8, 0.0, 0.0, 0.0, 0.1, 0.2, -0.3, 0.2)):
+        x = Multivector(sig, coeffs)
+        xp = _exact_powers(x, 20)
+        for family in (SeriesFamily.EXP, SeriesFamily.COSH, SeriesFamily.TANH):
+            spec = SeriesSpec(family, 20)
+            want, _, _ = _exact_series(xp, spec)
+            got = series_eval(x, spec)
+            for i, (g, w) in enumerate(zip(got.t, want)):
+                w = float(w)
+                if w == 0.0:
+                    assert g == 0.0, (family, i)
+                else:
+                    assert abs(g - w) <= 1e-13 * abs(w), (family, i, g, w)
+
+
+def test_series_eval_makes_a_fixed_number_of_kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(kernel):
+        def prod(a, b):
+            calls.append(1)
+            return kernel(a, b)
+        return prod
+
+    monkeypatch.setattr(series, "_PRODUCTS", {sig: counted(k) for sig, k in series._PRODUCTS.items()})
+    x = Multivector(Signature.CL12, (0.1, 0.2, -0.3, 0.1, 0.2, 0.1, -0.2, 0.3))
+    for family in (SeriesFamily.EXP, SeriesFamily.TANH, SeriesFamily.COSH):
+        for order in (1, 20, 40, 60):
+            for last, want in ((False, 2), (True, 3)):
+                calls.clear()
+                series_eval(x, SeriesSpec(family, order), return_last_term=last)
+                assert len(calls) == want, (family, order, last)
 
 
 def test_last_term_overflow_is_a_typed_error():
-    # sum 1e8^p / p! stays finite up to p = 40, but the last term's power
-    # 1e8^40 overflows while it is built.
+    # 1e8^40 overflows, but the last term c_40 * 1e8^40 = 1e320/40! does not:
+    # it is powered from r * x with r = c_40^(1/40), so both results are finite.
     x = Multivector.scalar(Signature.CL30, 1e8)
-    spec = SeriesSpec(SeriesFamily.EXP, 40)
-    assert all(map(math.isfinite, series_eval(x, spec).t))
+    value, delta = series_eval(x, SeriesSpec(SeriesFamily.EXP, 40), return_last_term=True)
+    assert all(map(math.isfinite, value.t))
+    want = float(Fraction(10**320, math.factorial(40)))
+    assert abs(delta - want) <= 1e-12 * want
+    # sum 1e10^p / p! up to p = 40 is about 1e352: the value itself overflows.
+    x = Multivector.scalar(Signature.CL30, 1e10)
     with pytest.raises(NonFiniteError, match="multivector coefficients must be finite"):
-        series_eval(x, spec, return_last_term=True)
+        series_eval(x, SeriesSpec(SeriesFamily.EXP, 40), return_last_term=True)

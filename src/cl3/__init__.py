@@ -40,7 +40,6 @@ from .exceptions import (
     NormUndefinedError,
     SeriesOrderError,
     SignatureMismatchError,
-    UnsupportedSignatureError,
 )
 from .exponential import ExpBranch, ExpFactors, degeneracy_eps, exp, exp_factors, exp_particular
 from .functions import hyperbolic_exact, normalize, ratio_exact, trig_exact

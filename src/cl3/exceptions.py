@@ -30,10 +30,6 @@ class NormUndefinedError(Cl3Error):
     """Determinant norm requested for a multivector with negative determinant."""
 
 
-class UnsupportedSignatureError(Cl3Error):
-    """Operation only exists in algebras with a different pseudoscalar square."""
-
-
 class MixedGradeInputError(Cl3Error):
     """Input mixes grades outside the allowed pattern for a special-case formula."""
 

@@ -7,7 +7,9 @@ C(z) = cosh(sqrt z) and S(z) = sinh(sqrt z)/sqrt z.  There is one body per
 center type: where e123^2 = -1 (CL30, CL12) the center is the complex
 plane; where e123^2 = +1 (CL03, CL21) it splits into the two real halves
 (1 +/- e123)/2.  ``exp`` has no tolerance and no branches: C and S switch
-to short Maclaurin polynomials near zero, at fixed points.
+to short Maclaurin polynomials near zero, at fixed points.  sin and cos
+share the bodies: f(c + y) = P(c)*C(k*z) + Q(c)*S(k*z)*(a + A), where
+(P, Q, k) is (e^c, e^c, 1), (sin c, cos c, -1) or (cos c, -sin c, -1).
 
 ``exp_factors`` reports the factor pair and a branch label for diagnosis
 only; the label's tolerance is fixed, and ``exp`` never reads it.
@@ -160,15 +162,13 @@ def _half_exp(a: float, b: float) -> float:
     return 0.5 * h * (h * (1.0 + ((a - (s - t)) + (b - t))))
 
 
-def _exp_split(x: Multivector) -> Multivector:
-    """exp where e123^2 = +1: one real exponential on each idempotent half."""
-    sig, t = x.sig, x.t
-    s1, s2, s3 = _SQUARES[sig]
-    p1, p2, p3, m1, m2, m3, zp, zm = _halves(t, s1, s2, s3)
-    ep, em = _half_exp(t[0], t[7]), _half_exp(t[0], -t[7])
-    cp, cm = ep * _co(zp), em * _co(zm)
-    sp, sm = ep * _si(zp), em * _si(zm)
-    return Multivector(sig, (
+def _exp_split(x: Multivector, pp: float, qp: float, pm: float, qm: float, k: float) -> Multivector:
+    """f where e123^2 = +1, on each idempotent half from (P, Q)/2 of c+ or c-."""
+    s1, s2, s3 = _SQUARES[x.sig]
+    p1, p2, p3, m1, m2, m3, zp, zm = _halves(x.t, s1, s2, s3)
+    cp, cm = pp * _co(k * zp), pm * _co(k * zm)
+    sp, sm = qp * _si(k * zp), qm * _si(k * zm)
+    return Multivector(x.sig, (
         cp + cm,
         sp * p1 + sm * m1,
         sp * p2 + sm * m2,
@@ -180,22 +180,42 @@ def _exp_split(x: Multivector) -> Multivector:
     ))
 
 
-def _exp_complex(x: Multivector) -> Multivector:
-    """exp where e123^2 = -1: the center is the complex plane, e123 = i."""
+def _exp_complex(x: Multivector, p: complex, q: complex, k: float) -> Multivector:
+    """f where e123^2 = -1: the center is the complex plane, e123 = i."""
     sig = x.sig
     prod = _PRODUCTS[sig]
-    a0, a1, a2, a3, a12, a13, a23, a123 = x.t
-    y = (0.0, a1, a2, a3, a12, a13, a23, 0.0)
+    y = (0.0, *x.t[1:7], 0.0)
     yy = prod(y, y)
-    z = complex(yy[0], yy[7])
-    e = cmath.rect(math.exp(a0), a123)
-    c, s = e * _co(z), e * _si(z)
-    # s * y has no scalar or pseudoscalar part; e * C fills those two slots.
+    z = complex(k * yy[0], k * yy[7])
+    c, s = p * _co(z), q * _si(z)
+    # s * y has no scalar or pseudoscalar part; P * C fills those two slots.
     sy = prod((s.real, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s.imag), y)
     return Multivector(sig, (c.real, *sy[1:7], c.imag))
 
 
-_BODIES = {sig: _exp_split if sig.i_square == 1 else _exp_complex for sig in Signature}
+# Per function: k, (P, Q) of c = a0 + i*a123 on the complex center, and
+# (P, Q)/2 of c = a + b on one real half (c+/- = a0 +/- a123).
+_ROWS = {
+    "exp": (1.0, lambda c: (e := cmath.rect(math.exp(c.real), c.imag), e),
+            lambda a, b: (h := _half_exp(a, b), h)),
+    "sin": (-1.0, lambda c: (cmath.sin(c), cmath.cos(c)),
+            lambda a, b: (0.5 * math.sin(a + b), 0.5 * math.cos(a + b))),
+    "cos": (-1.0, lambda c: (cmath.cos(c), -cmath.sin(c)),
+            lambda a, b: (0.5 * math.cos(a + b), -0.5 * math.sin(a + b))),
+}
+
+
+def _center_function(x: Multivector, name: str) -> Multivector:
+    """exp, sin or cos of ``x`` from its row; ``NonFiniteError`` on overflow."""
+    k, on_complex, on_half = _ROWS[name]
+    a0, a123 = x.t[0], x.t[7]
+    try:
+        if x.sig.i_square == -1:
+            return _exp_complex(x, *on_complex(complex(a0, a123)), k)
+        return _exp_split(x, *on_half(a0, a123), *on_half(a0, -a123), k)
+    except (OverflowError, ValueError):
+        # A product that overflowed quietly (NonFiniteError) and math.sin(inf) are ValueErrors.
+        raise NonFiniteError(f"{name} of {x!r} overflows double precision") from None
 
 
 def exp(x: Multivector) -> Multivector:
@@ -203,12 +223,7 @@ def exp(x: Multivector) -> Multivector:
 
     Raises ``NonFiniteError`` when the result overflows double precision.
     """
-    try:
-        return _BODIES[x.sig](x)
-    except (OverflowError, NonFiniteError):
-        # A complex product overflows to inf without raising; the
-        # constructor's finiteness check catches it.
-        raise NonFiniteError(f"exp of {x!r} overflows double precision") from None
+    return _center_function(x, "exp")
 
 
 def _directional_exp(x: Multivector, idx: slice, square: float) -> Multivector:

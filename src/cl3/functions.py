@@ -1,33 +1,19 @@
 """Exact trigonometric and hyperbolic multivector functions.
 
-All functions here are built from the closed-form exponential: the
-hyperbolic pair from e^{+/-A}, the trigonometric pair from e^{-/+ e123 A}
-(which needs e123^2 = -1, so CL30/CL12 only), and the tangents as
-sinh * cosh^{-1} through the adjugate inverse.
+sin and cos are rows of the closed-form exponential's bodies, in all four
+algebras; the hyperbolic pair comes from e^{+/-x}, and the tangents are
+sin * cos^{-1} and sinh * cosh^{-1} through the adjugate inverse.
 """
 
 from __future__ import annotations
 
 import math
 
-from .algebra import Multivector, Signature, blade, det_norm, geometric_product, inverse
-from .exceptions import NormUndefinedError, UnsupportedSignatureError
-from .exponential import exp
+from .algebra import Multivector, det_norm, geometric_product, inverse
+from .exceptions import NormUndefinedError
+from .exponential import _center_function, exp
 
 __all__ = ["trig_exact", "hyperbolic_exact", "ratio_exact", "normalize"]
-
-
-def _trig(x: Multivector, names: tuple[str, ...]) -> list[Multivector]:
-    """sin/cos of ``x`` for each name, from one pair e^{-/+ e123 x}."""
-    if x.sig.i_square != -1:
-        raise UnsupportedSignatureError(
-            f"{names[0]} needs e123^2 = -1 (cl30 or cl12); use the series evaluator for {x.sig.name.lower()}"
-        )
-    i_mv = blade(x.sig, "e123")
-    ia = geometric_product(i_mv, x)
-    e_neg, e_pos = exp(-ia), exp(ia)
-    return [(e_neg + e_pos) * 0.5 if name == "cos" else geometric_product(i_mv, e_neg - e_pos) * 0.5
-            for name in names]
 
 
 def _hyperbolic(x: Multivector, names: tuple[str, ...]) -> list[Multivector]:
@@ -37,10 +23,10 @@ def _hyperbolic(x: Multivector, names: tuple[str, ...]) -> list[Multivector]:
 
 
 def trig_exact(x: Multivector, which: str) -> Multivector:
-    """sin or cos of a multivector with commuting imaginary pseudoscalar."""
+    """sin or cos of a general multivector, any of the four algebras."""
     if which not in ("sin", "cos"):
         raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
-    return _trig(x, (which,))[0]
+    return _center_function(x, which)
 
 
 def hyperbolic_exact(x: Multivector, which: str) -> Multivector:
@@ -53,13 +39,13 @@ def hyperbolic_exact(x: Multivector, which: str) -> Multivector:
 def ratio_exact(x: Multivector, which: str) -> Multivector:
     """tan or tanh via the exact inverse of cos/cosh.
 
-    Numerator and denominator share one pair of exponentials.  Propagates
-    ``NonInvertibleError`` when the denominator has no inverse.
+    tanh's numerator and denominator share one pair of exponentials.
+    Propagates ``NonInvertibleError`` when the denominator has no inverse.
     """
     if which == "tanh":
         num, den = _hyperbolic(x, ("sinh", "cosh"))
     elif which == "tan":
-        num, den = _trig(x, ("sin", "cos"))
+        num, den = _center_function(x, "sin"), _center_function(x, "cos")
     else:
         raise ValueError(f"which must be 'tan' or 'tanh', got {which!r}")
     return geometric_product(num, inverse(den).inverse)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -194,7 +195,9 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     # c_N·x^N as (r·x)^N with r = |c_N|^(1/N), by binary powering on pairs:
     # it stays finite wherever c_N·x^N does, although x^N alone may not.
     n, c = powers[-1], coeffs[-1]
-    r = abs(c) ** (1.0 / n) if n else 0.0
+    # For N >= 171 the float c_N = ±1/N! is subnormal or 0 (the tabulated
+    # families stop at order 60), so r comes from log N! there.
+    r = math.exp(-math.lgamma(n + 1) / n) if abs(c) < sys.float_info.min else abs(c) ** (1.0 / max(n, 1))
     power, b = None, (r * t[0], r * t[7], r, 0.0)
     while n:
         if n & 1:

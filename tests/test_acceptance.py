@@ -278,11 +278,10 @@ def test_criterion_11_commutation_identities():
         sh = hyperbolic_exact(x, "sinh")
         ok &= max_err(geometric_product(ch, ch) - geometric_product(sh, sh), one) <= 1e-10
         ok &= max_err(geometric_product(sh, ch), geometric_product(ch, sh)) <= 1e-10
-        if sig.i_square == -1:
-            s, c = trig_exact(x, "sin"), trig_exact(x, "cos")
-            ok &= max_err(geometric_product(s, s) + geometric_product(c, c), one) <= 1e-10
-            ok &= max_err(trig_exact(x * 2.0, "sin"), geometric_product(s, c) * 2.0) <= 1e-10
-            want = geometric_product(c, c) - geometric_product(s, s)
-            ok &= max_err(trig_exact(x * 2.0, "cos"), want) <= 1e-10
-            ok &= max_err(geometric_product(s, c), geometric_product(c, s)) <= 1e-10
+        s, c = trig_exact(x, "sin"), trig_exact(x, "cos")
+        ok &= max_err(geometric_product(s, s) + geometric_product(c, c), one) <= 1e-10
+        ok &= max_err(trig_exact(x * 2.0, "sin"), geometric_product(s, c) * 2.0) <= 1e-10
+        want = geometric_product(c, c) - geometric_product(s, s)
+        ok &= max_err(trig_exact(x * 2.0, "cos"), want) <= 1e-10
+        ok &= max_err(geometric_product(s, c), geometric_product(c, s)) <= 1e-10
     _report(11, "function identities on 500 random multivectors", ok)

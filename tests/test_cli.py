@@ -1,6 +1,7 @@
 """Command-line interface: parsing, rendering, subcommands, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -162,18 +163,26 @@ def test_eval_sqrt_center_and_factors(capsys):
     assert payload["branch"] == "both-degenerate"
 
 
-def test_trig_needs_series_flag_on_split_algebras(capsys):
-    code, _, err = _run(capsys, [
-        "eval", "--algebra", "cl21", "--fn", "sin", "--mv", "1,0,0,0,0,0,0,0",
-    ])
-    assert code == 1
-    assert "series" in err
-    code, out, _ = _run(capsys, [
-        "eval", "--algebra", "cl21", "--fn", "sin", "--mv", "1,0,0,0,0,0,0,0",
-        "--series", "--terms", "21",
-    ])
-    assert code == 0
-    assert abs(float(out) - np.sin(1.0)) < 1e-7
+def test_trig_on_split_algebras(capsys):
+    for sig in ("cl21", "cl03"):
+        code, out, _ = _run(capsys, [
+            "eval", "--algebra", sig, "--fn", "sin", "--mv", "1,0,0,0,0,0,0,0", "--digits", "17",
+        ])
+        assert code == 0
+        assert float(out) == math.sin(1.0)
+        code, out, _ = _run(capsys, [
+            "eval", "--algebra", sig, "--fn", "sin", "--mv", "1,0,0,0,0,0,0,0",
+            "--series", "--terms", "21",
+        ])
+        assert code == 0
+        assert abs(float(out) - np.sin(1.0)) < 1e-7
+        code, out, _ = _run(capsys, [
+            "compare", "--algebra", sig, "--fn", "tan", "--terms", "31",
+            "--mv", "0.1,0.2,0,0.1,0,0.3,0,0.2", "--format", "json",
+        ])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["algebra"] == sig and payload["max_delta"] < 1e-9
 
 
 def test_series_flag_rejected_for_non_series_fn(capsys):
@@ -204,6 +213,15 @@ def test_series_with_a_huge_last_term_exits_cleanly(capsys):
     ])
     assert code == 0, err
     assert 1e272 < float(out) < 1.3e272
+
+
+def test_compare_warns_where_the_last_coefficient_underflows(capsys):
+    # 1/200! is 0.0 as a float; the last term c_200 * 300^200 is about 3.4e120.
+    code, _, err = _run(capsys, [
+        "compare", "--fn", "exp", "--terms", "200", "--mv", "300,0,0,0,0,0,0,0",
+    ])
+    assert code == 0
+    assert "3.37e+120" in err and "may not have converged" in err
 
 
 def test_compare_json(capsys):

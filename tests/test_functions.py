@@ -1,20 +1,21 @@
 """Exact trig/hyperbolic functions, their identities, and normalization."""
 
 import math
-import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cl3.functions as functions_module
 from cl3 import (
     Multivector,
+    NonFiniteError,
     NonInvertibleError,
     NormUndefinedError,
     SeriesFamily,
     SeriesSpec,
     Signature,
-    UnsupportedSignatureError,
     determinant,
     geometric_product,
     hyperbolic_exact,
@@ -24,10 +25,9 @@ from cl3 import (
     series_eval,
     trig_exact,
 )
-from conftest import ALL_SIGS, max_err, rand_mv
+from cl3.exponential import _SQUARES
+from conftest import ALL_SIGS, bench_reference, max_err, rand_mv
 from reference_values import EXACT, REF_COEFFS, REF_SCALE, SERIES, TABLE_TOL
-
-TRIG_SIGS = (Signature.CL30, Signature.CL12)
 
 
 def _ref_mv():
@@ -60,20 +60,67 @@ def test_values_at_zero():
         assert max_err(hyperbolic_exact(zero, "cosh"), np.eye(8)[0]) == 0.0
         assert max_err(hyperbolic_exact(zero, "sinh"), np.zeros(8)) == 0.0
         assert max_err(ratio_exact(zero, "tanh"), np.zeros(8)) == 0.0
-    for sig in TRIG_SIGS:
-        zero = Multivector.zero(sig)
         assert max_err(trig_exact(zero, "cos"), np.eye(8)[0]) == 0.0
         assert max_err(trig_exact(zero, "sin"), np.zeros(8)) == 0.0
+        assert max_err(ratio_exact(zero, "tan"), np.zeros(8)) == 0.0
 
 
-def test_trig_rejects_positive_pseudoscalar_square():
-    for sig in (Signature.CL03, Signature.CL21):
-        with pytest.raises(UnsupportedSignatureError):
-            trig_exact(Multivector.zero(sig), "sin")
-        # tan names its numerator, sin, as it did when it called trig_exact twice.
-        text = f"sin needs e123^2 = -1 (cl30 or cl12); use the series evaluator for {sig.name.lower()}"
-        with pytest.raises(UnsupportedSignatureError, match=f"^{re.escape(text)}$"):
-            ratio_exact(Multivector.zero(sig), "tan")
+def _from_halves(sig, d_plus, d_minus, a0=0.3, a123=-0.2):
+    """The multivector of CL03/CL21 whose vector + bivector part is d+ on
+    the half (1 + e123)/2 and d- on (1 - e123)/2."""
+    s1, s2, s3 = _SQUARES[sig]
+    (p1, p2, p3), (m1, m2, m3) = d_plus, d_minus
+    return Multivector(sig, (
+        a0, (p1 + m1) / 2, (p2 + m2) / 2, (p3 + m3) / 2,
+        (p3 - m3) / (2 * s3), (m2 - p2) / (2 * s2), (p1 - m1) / (2 * s1), a123,
+    ))
+
+
+# A vector of square zero on a half: only the zero vector in CL03, and
+# (3, 4, 5)/8 (exact in binary) under CL21's squares (1, 1, -1).
+_NULL_HALF = {Signature.CL03: (0.0, 0.0, 0.0), Signature.CL21: (0.375, 0.5, 0.625)}
+
+
+@pytest.mark.parametrize("sig", [Signature.CL03, Signature.CL21])
+def test_trig_on_split_algebras_matches_the_oracle(sig):
+    ref = bench_reference()
+    rng = np.random.default_rng(31)
+    null, d = np.array(_NULL_HALF[sig]), rng.uniform(-1.0, 1.0, 3)
+    cases = {
+        "generic": Multivector(sig, rng.uniform(-2.0, 2.0, 8)),
+        "plus-degenerate": _from_halves(sig, null, d),
+        "near-degenerate": _from_halves(sig, null + 1e-9, d),
+        "both-degenerate": _from_halves(sig, null, -null),
+    }
+    for label, x in cases.items():
+        for which in ("sin", "cos", "tan"):
+            got = ratio_exact(x, which) if which == "tan" else trig_exact(x, which)
+            digits = ref.oracle_digits(got.t, ref.oracle_eval(sig.name.lower(), which, x.t))
+            assert digits >= 13.0, (label, which, digits)
+
+
+@pytest.mark.parametrize("sig,coeffs", [
+    (Signature.CL30, (0, 0, 0, 0, 0, 0, 0, 800)),   # sin(800 i) on the complex center
+    (Signature.CL12, (0, 0, 800, 0, 0, 0, 0, 0)),   # C(-z) = cosh 800, e2^2 = -1
+    (Signature.CL03, (0, 800, 0, 0, 0, 0, 0, 0)),   # the same on both real halves
+    (Signature.CL21, (1e308, 0, 0, 0, 0, 0, 0, 1e308)),  # c+ = a0 + a123 overflows
+])
+def test_trig_overflow_is_a_typed_error(sig, coeffs):
+    x = Multivector(sig, coeffs)
+    for which in ("sin", "cos"):
+        with pytest.raises(NonFiniteError, match=f"^{which} of .* overflows double precision$"):
+            trig_exact(x, which)
+    with pytest.raises(NonFiniteError):
+        ratio_exact(x, "tan")
+
+
+def test_small_cl12_sine_keeps_full_precision():
+    # Two exponentials e^{-/+ e123 x} cancel here (14.40 digits); sin c and
+    # cos c on the center do not.
+    ref = bench_reference()
+    x = (-1.94e-3, 3.08e-3, 3.42e-3, -3.13e-3, -1.21e-3, 3.44e-3, 3.23e-3, 1.18e-3)
+    got = trig_exact(Multivector(Signature.CL12, x), "sin")
+    assert ref.oracle_digits(got.t, ref.oracle_eval("cl12", "sin", x)) >= 15.5
 
 
 def test_each_function_takes_one_pair_of_exponentials(rng, monkeypatch):
@@ -82,20 +129,15 @@ def test_each_function_takes_one_pair_of_exponentials(rng, monkeypatch):
     monkeypatch.setattr(functions_module, "exp", lambda x: calls.append(x) or real_exp(x))
     for sig in ALL_SIGS:
         x = rand_mv(rng, sig)
-        cases = [(ratio_exact, "tanh"), (hyperbolic_exact, "sinh"), (hyperbolic_exact, "cosh")]
-        if sig in TRIG_SIGS:
-            cases += [(ratio_exact, "tan"), (trig_exact, "sin"), (trig_exact, "cos")]
-        for fn, which in cases:
+        for fn, which in [(ratio_exact, "tanh"), (hyperbolic_exact, "sinh"), (hyperbolic_exact, "cosh")]:
             calls.clear()
             fn(x, which)
             assert len(calls) == 2, (sig, which)
 
 
 def test_ratio_is_bit_identical_to_explicit_quotient(rng):
+    pairs = [("tanh", hyperbolic_exact, "sinh", "cosh"), ("tan", trig_exact, "sin", "cos")]
     for sig in ALL_SIGS:
-        pairs = [("tanh", hyperbolic_exact, "sinh", "cosh")]
-        if sig in TRIG_SIGS:
-            pairs.append(("tan", trig_exact, "sin", "cos"))
         for _ in range(20):
             x = rand_mv(rng, sig, 2.0)
             for which, fn, num, den in pairs:
@@ -130,17 +172,26 @@ def test_pythagorean_identities(rng):
             sh = hyperbolic_exact(x, "sinh")
             lhs = geometric_product(ch, ch) - geometric_product(sh, sh)
             assert max_err(lhs, one) <= 1e-10
-    for sig in TRIG_SIGS:
-        for _ in range(25):
-            x = rand_mv(rng, sig)
             c = trig_exact(x, "cos")
             s = trig_exact(x, "sin")
             lhs = geometric_product(c, c) + geometric_product(s, s)
             assert max_err(lhs, one) <= 1e-10
 
 
+@given(sig=st.sampled_from(ALL_SIGS),
+       coeffs=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=8, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_sin_squared_plus_cos_squared_is_one(sig, coeffs):
+    x = Multivector(sig, coeffs)
+    c, s = trig_exact(x, "cos"), trig_exact(x, "sin")
+    lhs = geometric_product(c, c) + geometric_product(s, s)
+    # Relative to the size of the terms summed: sin and cos grow like e^|x|.
+    size = max(1.0, *map(abs, geometric_product(c, c).t), *map(abs, geometric_product(s, s).t))
+    assert max_err(lhs, np.eye(8)[0]) <= 1e-13 * size
+
+
 def test_double_angle(rng):
-    for sig in TRIG_SIGS:
+    for sig in ALL_SIGS:
         for _ in range(25):
             x = rand_mv(rng, sig)
             s, c = trig_exact(x, "sin"), trig_exact(x, "cos")
@@ -154,8 +205,6 @@ def test_function_commutation(rng):
         x = rand_mv(rng, sig)
         sh, ch = hyperbolic_exact(x, "sinh"), hyperbolic_exact(x, "cosh")
         assert max_err(geometric_product(sh, ch), geometric_product(ch, sh)) <= 1e-12
-    for sig in TRIG_SIGS:
-        x = rand_mv(rng, sig)
         s, c = trig_exact(x, "sin"), trig_exact(x, "cos")
         assert max_err(geometric_product(s, c), geometric_product(c, s)) <= 1e-12
 

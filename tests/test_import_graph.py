@@ -33,7 +33,7 @@ PUBLIC_NAMES = (
     "Multivector", "NoIsolatedRootError", "NonFiniteError", "NonInvertibleError",
     "NormUndefinedError", "ProbabilityTrace", "REMAP_TABLES", "RampSweep", "RemapTable",
     "SeriesFamily", "SeriesOrderError", "SeriesSpec", "Signature", "SignatureMismatchError",
-    "UnsupportedSignatureError", "adjugate", "algebra", "basis_remap",
+    "adjugate", "algebra", "basis_remap",
     "bernoulli_numbers", "blade", "blades", "center", "center_decompose", "center_product",
     "degeneracy_eps", "det_norm", "determinant", "down_probability",
     "down_probability_projected", "euler_numbers", "even_geometric_product", "evolve_spinor",

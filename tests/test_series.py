@@ -231,3 +231,12 @@ def test_last_term_overflow_is_a_typed_error():
     x = Multivector.scalar(Signature.CL30, 1e10)
     with pytest.raises(NonFiniteError, match="multivector coefficients must be finite"):
         series_eval(x, SeriesSpec(SeriesFamily.EXP, 40), return_last_term=True)
+
+
+def test_last_term_delta_past_the_float_range_of_its_coefficient():
+    # 1/200! underflows to 0.0 as a float, but c_200 * 300^200 is about 3.4e120:
+    # r = |c_N|^(1/N) comes from log N! there, so the delta stays nonzero.
+    x = Multivector.scalar(Signature.CL30, 300.0)
+    _, delta = series_eval(x, SeriesSpec(SeriesFamily.EXP, 200), return_last_term=True)
+    want = float(Fraction(300**200, math.factorial(200)))
+    assert abs(delta - want) <= 1e-12 * want

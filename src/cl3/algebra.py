@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .exceptions import NonFiniteError, NonInvertibleError, NormUndefinedError, SignatureMismatchError
@@ -56,11 +57,11 @@ def _blade_name(mask: int) -> str:
 BLADE_NAMES = tuple(map(_blade_name, _BLADE_MASKS))
 BLADE_GRADES = tuple(mask.bit_count() for mask in _BLADE_MASKS)
 
-# Residue guard on the involution-product determinant, residue <= 1e-10 *
-# max((sum |c_i|)^4, 1), and the scale-invariant singularity cutoff
-# |det| <= 1e-12 * (sum |c_i|)^4.  Both are compared as fourth roots:
+# Residue guard on the central product x * conj(x), residue <= 1e-10 *
+# max(sum |c_i|, 1)^2, compared as square roots, and the scale-invariant
+# singularity cutoff |det| <= 1e-12 * (sum |c_i|)^4, compared as fourth roots:
 # (sum |c_i|)^4 overflows from about 3.7e77, long before the products do.
-_RESIDUE_ROOT = 1e-10 ** 0.25
+_RESIDUE_ROOT = 1e-10 ** 0.5
 _SINGULAR_ROOT = 1e-12 ** 0.25
 
 
@@ -116,31 +117,38 @@ def blade_product(mask_a: int, mask_b: int, squares: Sequence[int]) -> tuple[int
     return mask_a ^ mask_b, sign
 
 
-def _blade_table(masks: Sequence[int], squares: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """(target slot, sign) of blade i times blade j, for every slot pair."""
+@lru_cache(maxsize=None)
+def _blade_table(masks: Sequence[int], squares: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(target slot, sign) of blade i times blade j, for every slot pair; built once per table."""
     slot = {mask: k for k, mask in enumerate(masks)}
     products = [[blade_product(a, b, squares) for b in masks] for a in masks]
-    return [[(slot[mask], sign) for mask, sign in row] for row in products]
+    return tuple(tuple((slot[mask], sign) for mask, sign in row) for row in products)
 
 
-def _product_kernel(masks: Sequence[int], squares: Sequence[int]) -> Callable:
+def _product_kernel(masks: Sequence[int], squares: Sequence[int], a_slots=None, b_slots=None, out_slots=None) -> Callable:
     """Compile the product over blades ``masks`` into ``prod(a, b) -> tuple``.
 
     Output slot k is the signed sum of ``a[i] * b[j]`` over the slot pairs
     whose blade product lands on k, written out as straight-line source (the
-    code generation idiom of *kingdon*), so a call looks up no table.
+    code generation idiom of *kingdon*), so a call looks up no table.  It reads
+    ``a_slots`` of ``a`` and ``b_slots`` of ``b``, taking the rest as 0.0, and returns
+    ``out_slots``; a dropped term ``+ 0.0 * 0.0`` becomes ``+ 0.0``, so a zero sum stays +0.0.
     """
     n = len(masks)
-    terms = [[] for _ in range(n)]
+    a_slots, b_slots, out_slots = (range(n) if s is None else s for s in (a_slots, b_slots, out_slots))
+    terms, zeros = [[] for _ in range(n)], set()
     for i, row in enumerate(_blade_table(masks, squares)):
         for j, (k, sign) in enumerate(row):
-            terms[k].append(f"{'-' if sign < 0 else '+'} a{i} * b{j}")
+            if i in a_slots and j in b_slots:
+                terms[k].append(f"{'-' if sign < 0 else '+'} a{i} * b{j}")
+            elif sign > 0 and i not in a_slots and j not in b_slots:
+                zeros.add(k)
     lines = [
         "def prod(a, b):",
-        f"    {', '.join(f'a{i}' for i in range(n))} = a",
-        f"    {', '.join(f'b{i}' for i in range(n))} = b",
+        f"    {', '.join(f'a{i}' if i in a_slots else '_' for i in range(n))} = a",
+        f"    {', '.join(f'b{i}' if i in b_slots else '_' for i in range(n))} = b",
         "    return (",
-        *(f"        {' '.join(t).removeprefix('+ ')}," for t in terms),
+        *(f"        {' '.join(terms[k]).removeprefix('+ ')}{' + 0.0' * (k in zeros)}," for k in out_slots),
         "    )",
     ]
     namespace: dict = {}
@@ -148,7 +156,20 @@ def _product_kernel(masks: Sequence[int], squares: Sequence[int]) -> Callable:
     return namespace["prod"]
 
 
+class _SlotKernels(dict):
+    def __init__(self, *slots):
+        self.slots = slots
+
+    def __missing__(self, sig):
+        kernel = self[sig] = _product_kernel(_BLADE_MASKS, sig.squares, *self.slots)
+        return kernel
+
+
 _PRODUCTS = {sig: _product_kernel(_BLADE_MASKS, sig.squares) for sig in Signature}
+# y * y (central) and c * y for y in slots 1-6 and c in slots 0 and 7, compiled
+# on first use, so a process pays only for the algebras it uses.
+_SQUARE_Y = _SlotKernels(range(1, 7), range(1, 7), (0, 7))
+_CENTER_Y = _SlotKernels((0, 7), range(1, 7), range(1, 7))
 
 
 def sign_table(sig: Signature) -> tuple[np.ndarray, np.ndarray]:
@@ -329,35 +350,38 @@ def grade_select(x: Multivector, g: int) -> Multivector:
     return Multivector(x.sig, tuple([v if k == g else 0.0 for k, v in zip(BLADE_GRADES, x.t)]))
 
 
-def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
-    """Adjugate and determinant via the 3D involution product.
-
-    The four-factor product x * rev(x) * gradeinv(x) * gradeinv(rev(x)) must
-    be a scalar; a residue above tolerance means the sign tables are corrupt,
-    so it raises ``AssertionError`` (also under ``python -O``) rather than
-    being silently projected away.  Raises ``NonFiniteError`` when the
-    determinant or the adjugate overflows double precision.
-    """
+def _center_norm(x: Multivector) -> tuple[float, float, float]:
+    """n_s, n_i of the central n = x * conj(x) = c^2 - y^2, and det = n * conj(n):
+    n_s^2 + n_i^2 where e123^2 = -1, else the product of the halves n_s +/- n_i.
+    A residue in slots 1-6 means corrupt sign tables (``AssertionError``, also under
+    -O); slot 0 holds every a_i^2, so an overflow leaves det non-finite (``NonFiniteError``)."""
     t = x.t
-    mul = _PRODUCTS[x.sig]
-    rev = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.REVERSE], t))
-    gi = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.GRADE_INVERSE], t))
-    gi_rev = tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.REVERSE_GRADE_INVERSE], t))
-    adj = mul(mul(rev, gi), gi_rev)
-    prod = mul(t, adj)
-    # Each slot of x * adj has one term per coefficient of adj, so a
-    # non-finite adjugate leaves no slot of the product finite.
-    if not all(map(math.isfinite, prod)):
+    n = _PRODUCTS[x.sig](t, tuple(map(operator.mul, _INVOLUTION_SIGNS[InvolutionKind.REVERSE_GRADE_INVERSE], t)))
+    ns, ni = n[0], n[7]
+    det = ns * ns + ni * ni if x.sig.i_square < 0 else (ns + ni) * (ns - ni)
+    if not math.isfinite(det):
         raise NonFiniteError(f"determinant of {x!r} overflows double precision")
-    residue = max(map(abs, prod[1:]))
-    if residue ** 0.25 > _RESIDUE_ROOT * max(sum(map(abs, t)), 1.0):
+    residue = max(map(abs, n[1:7]))
+    if residue ** 0.5 > _RESIDUE_ROOT * max(sum(map(abs, t)), 1.0):
         raise AssertionError(f"non-scalar residue {residue:.3e} in determinant product")
-    return Multivector(x.sig, adj), prod[0]
+    return ns, ni, det
+
+
+def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
+    """Adjugate conj(x) * conj(n) = c * conj(n) - conj(n) * y, and det."""
+    ns, ni, det = _center_norm(x)
+    t, sig = x.t, x.sig
+    adj = (t[0] * ns - sig.i_square * t[7] * ni, *_CENTER_Y[sig]((-ns, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ni), t),
+           t[7] * ns - t[0] * ni)
+    try:
+        return Multivector(sig, adj), det
+    except NonFiniteError:
+        raise NonFiniteError(f"determinant of {x!r} overflows double precision") from None
 
 
 def determinant(x: Multivector) -> float:
     """Scalar determinant of a multivector."""
-    return _adjugate_with_det(x)[1]
+    return _center_norm(x)[2]
 
 
 def adjugate(x: Multivector) -> Multivector:
@@ -389,7 +413,7 @@ def inverse(x: Multivector) -> InverseResult:
 
 
 def det_norm(x: Multivector) -> float:
-    """Determinant norm det(x)**(1/4) (the 3D determinant is a 4-factor product)."""
+    """Determinant norm det(x)**(1/4) (det is quartic in x)."""
     det = determinant(x)
     if det < 0.0:
         raise NormUndefinedError(

@@ -12,7 +12,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .algebra import _PRODUCTS, Multivector, Signature
+from .algebra import _SQUARE_Y, Multivector, Signature
 from .exceptions import NoIsolatedRootError
 
 __all__ = ["CenterElement", "center_decompose", "center_product", "sqrt_center"]
@@ -45,12 +45,11 @@ def center_decompose(x: Multivector) -> CenterElement:
     satisfies (a + A)^2 = -(a_s + a_i*e123), for the other three algebras
     (a + A)^2 = +(a_s + a_i*e123).
     """
-    y = (0.0, *x.t[1:7], 0.0)
-    yy = _PRODUCTS[x.sig](y, y)
+    zs, zi = _SQUARE_Y[x.sig](x.t, x.t)
     s = -1.0 if x.sig is Signature.CL03 else 1.0
     # + 0.0 turns -0.0 into +0.0, so an exact zero carries no sign and a
     # negative real square gets the root +sqrt(-a_s)*e123 from cmath.sqrt.
-    return CenterElement(s * yy[0] + 0.0, s * yy[7] + 0.0)
+    return CenterElement(s * zs + 0.0, s * zi + 0.0)
 
 
 def sqrt_center(c: CenterElement, sig: Signature) -> list[CenterElement]:

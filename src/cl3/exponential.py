@@ -3,13 +3,14 @@
 The square z = (a + A)^2 of the vector + bivector part lies in the center
 span{1, e123}, so exp(a0 + a + A + a123*e123) is
 e^{a0} * e^{a123*e123} * (C(z) + S(z)*(a + A)) with the entire functions
-C(z) = cosh(sqrt z) and S(z) = sinh(sqrt z)/sqrt z.  There is one body per
-center type: where e123^2 = -1 (CL30, CL12) the center is the complex
+C(z) = cosh(sqrt z) and S(z) = sinh(sqrt z)/sqrt z.  There is one formula
+per center type: where e123^2 = -1 (CL30, CL12) the center is the complex
 plane; where e123^2 = +1 (CL03, CL21) it splits into the two real halves
 (1 +/- e123)/2.  ``exp`` has no tolerance and no branches: C and S switch
 to short Maclaurin polynomials near zero, at fixed points.  sin and cos
-share the bodies: f(c + y) = P(c)*C(k*z) + Q(c)*S(k*z)*(a + A), where
-(P, Q, k) is (e^c, e^c, 1), (sin c, cos c, -1) or (cos c, -sin c, -1).
+share the formulas: f(c + y) = P(c)*C(k*z) + Q(c)*S(k*z)*(a + A), where
+(P, Q, k) is (e^c, e^c, 1), (sin c, cos c, -1) or (cos c, -sin c, -1);
+each (signature, function) pair is bound to its own body at import.
 
 ``exp_factors`` reports the factor pair and a branch label for diagnosis
 only; the label's tolerance is fixed, and ``exp`` never reads it.
@@ -20,9 +21,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .algebra import _PRODUCTS, BLADE_GRADES, Multivector, Signature
+from .algebra import _CENTER_Y, _SQUARE_Y, BLADE_GRADES, Multivector, Signature
 from .center import center_decompose
 from .exceptions import MixedGradeInputError, NonFiniteError
 
@@ -162,35 +163,34 @@ def _half_exp(a: float, b: float) -> float:
     return 0.5 * h * (h * (1.0 + ((a - (s - t)) + (b - t))))
 
 
-def _exp_split(x: Multivector, pp: float, qp: float, pm: float, qm: float, k: float) -> Multivector:
-    """f where e123^2 = +1, on each idempotent half from (P, Q)/2 of c+ or c-."""
-    s1, s2, s3 = _SQUARES[x.sig]
-    p1, p2, p3, m1, m2, m3, zp, zm = _halves(x.t, s1, s2, s3)
-    cp, cm = pp * _co(k * zp), pm * _co(k * zm)
-    sp, sm = qp * _si(k * zp), qm * _si(k * zm)
-    return Multivector(x.sig, (
-        cp + cm,
-        sp * p1 + sm * m1,
-        sp * p2 + sm * m2,
-        sp * p3 + sm * m3,
-        s3 * (sp * p3 - sm * m3),
-        -s2 * (sp * p2 - sm * m2),
-        s1 * (sp * p1 - sm * m1),
-        cp - cm,
-    ))
+def _center_body(sig: Signature, name: str, k: float, on_complex, on_half) -> Callable:
+    """f(x) for x of ``sig`` from f's row: on the complex center (e123 = i) where
+    e123^2 = -1, else on each idempotent half from (P, Q)/2 of c+ or c-."""
+    split, (s1, s2, s3) = sig.i_square == 1, _SQUARES[sig]
 
+    def body(x: Multivector) -> Multivector:
+        t = x.t
+        try:
+            if split:
+                (pp, qp), (pm, qm) = on_half(t[0], t[7]), on_half(t[0], -t[7])
+                p1, p2, p3, m1, m2, m3, zp, zm = _halves(t, s1, s2, s3)
+                cp, cm = pp * _co(k * zp), pm * _co(k * zm)
+                sp, sm = qp * _si(k * zp), qm * _si(k * zm)
+                return Multivector(sig, (cp + cm, sp * p1 + sm * m1, sp * p2 + sm * m2, sp * p3 + sm * m3,
+                                         s3 * (sp * p3 - sm * m3), -s2 * (sp * p2 - sm * m2),
+                                         s1 * (sp * p1 - sm * m1), cp - cm))
+            p, q = on_complex(complex(t[0], t[7]))
+            zs, zi = _SQUARE_Y[sig](t, t)
+            z = complex(k * zs, k * zi)
+            c, s = p * _co(z), q * _si(z)
+            # s * y has no scalar or pseudoscalar part; P * C fills those two slots.
+            sy = _CENTER_Y[sig]((s.real, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s.imag), t)
+            return Multivector(sig, (c.real, *sy, c.imag))
+        except (OverflowError, ValueError):
+            # A product that overflowed quietly (NonFiniteError) and math.sin(inf) are ValueErrors.
+            raise NonFiniteError(f"{name} of {x!r} overflows double precision") from None
 
-def _exp_complex(x: Multivector, p: complex, q: complex, k: float) -> Multivector:
-    """f where e123^2 = -1: the center is the complex plane, e123 = i."""
-    sig = x.sig
-    prod = _PRODUCTS[sig]
-    y = (0.0, *x.t[1:7], 0.0)
-    yy = prod(y, y)
-    z = complex(k * yy[0], k * yy[7])
-    c, s = p * _co(z), q * _si(z)
-    # s * y has no scalar or pseudoscalar part; P * C fills those two slots.
-    sy = prod((s.real, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s.imag), y)
-    return Multivector(sig, (c.real, *sy[1:7], c.imag))
+    return body
 
 
 # Per function: k, (P, Q) of c = a0 + i*a123 on the complex center, and
@@ -204,18 +204,8 @@ _ROWS = {
             lambda a, b: (0.5 * math.cos(a + b), -0.5 * math.sin(a + b))),
 }
 
-
-def _center_function(x: Multivector, name: str) -> Multivector:
-    """exp, sin or cos of ``x`` from its row; ``NonFiniteError`` on overflow."""
-    k, on_complex, on_half = _ROWS[name]
-    a0, a123 = x.t[0], x.t[7]
-    try:
-        if x.sig.i_square == -1:
-            return _exp_complex(x, *on_complex(complex(a0, a123)), k)
-        return _exp_split(x, *on_half(a0, a123), *on_half(a0, -a123), k)
-    except (OverflowError, ValueError):
-        # A product that overflowed quietly (NonFiniteError) and math.sin(inf) are ValueErrors.
-        raise NonFiniteError(f"{name} of {x!r} overflows double precision") from None
+# f(x) = _CENTER_FUNCTIONS[f][x.sig](x), raising ``NonFiniteError`` that names f on overflow.
+_CENTER_FUNCTIONS = {name: {sig: _center_body(sig, name, *row) for sig in Signature} for name, row in _ROWS.items()}
 
 
 def exp(x: Multivector) -> Multivector:
@@ -223,7 +213,7 @@ def exp(x: Multivector) -> Multivector:
 
     Raises ``NonFiniteError`` when the result overflows double precision.
     """
-    return _center_function(x, "exp")
+    return _CENTER_FUNCTIONS["exp"][x.sig](x)
 
 
 def _directional_exp(x: Multivector, idx: slice, square: float) -> Multivector:

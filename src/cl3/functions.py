@@ -11,7 +11,7 @@ import math
 
 from .algebra import Multivector, det_norm, geometric_product, inverse
 from .exceptions import NormUndefinedError
-from .exponential import _center_function, exp
+from .exponential import _CENTER_FUNCTIONS, exp
 
 __all__ = ["trig_exact", "hyperbolic_exact", "ratio_exact", "normalize"]
 
@@ -26,7 +26,7 @@ def trig_exact(x: Multivector, which: str) -> Multivector:
     """sin or cos of a general multivector, any of the four algebras."""
     if which not in ("sin", "cos"):
         raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
-    return _center_function(x, which)
+    return _CENTER_FUNCTIONS[which][x.sig](x)
 
 
 def hyperbolic_exact(x: Multivector, which: str) -> Multivector:
@@ -45,7 +45,7 @@ def ratio_exact(x: Multivector, which: str) -> Multivector:
     if which == "tanh":
         num, den = _hyperbolic(x, ("sinh", "cosh"))
     elif which == "tan":
-        num, den = _center_function(x, "sin"), _center_function(x, "cos")
+        num, den = _CENTER_FUNCTIONS["sin"][x.sig](x), _CENTER_FUNCTIONS["cos"][x.sig](x)
     else:
         raise ValueError(f"which must be 'tan' or 'tanh', got {which!r}")
     return geometric_product(num, inverse(den).inverse)

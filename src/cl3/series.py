@@ -19,7 +19,7 @@ import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import _PRODUCTS, Multivector
+from .algebra import _CENTER_Y, _SQUARE_Y, Multivector
 from .exceptions import SeriesOrderError
 
 if TYPE_CHECKING:
@@ -170,14 +170,13 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
 
     Returns the multivector value, or ``(value, last_term_delta)`` where
     the delta is the largest coefficient magnitude of the final summed
-    term c_N·x^N: a divergence indicator the caller can surface.  The
-    product kernel runs for y² and each G·y only, whatever the order.
+    term c_N·x^N: a divergence indicator the caller can surface.  Only
+    y² and each G·y take a product kernel, whatever the order.
     """
     powers, coeffs = _term_table(spec.family, spec.terms)
-    t, k, prod = x.t, x.sig.i_square, _PRODUCTS[x.sig]
-    y = (0.0, *t[1:7], 0.0)
-    yy = prod(y, y)
-    z, xp = (yy[0], yy[7]), (t[0], t[7], 1.0, 0.0)
+    t, sig = x.t, x.sig
+    k, cy = sig.i_square, _CENTER_Y[sig]
+    z, xp = _SQUARE_Y[sig](t, t), (t[0], t[7], 1.0, 0.0)
     ps, pi, qs, qi = xp if spec.family is SeriesFamily.EXP else _pair_product(xp, xp, z, k)
     # The step is _pair_product inlined; k = ±1 folds into constants exactly.
     ws, wi = qs * z[0] + k * qi * z[1], qs * z[1] + qi * z[0]
@@ -188,8 +187,7 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
                           fs * qs + fi * kqi + gs * ps + gi * kpi, fs * qi + fi * qs + gs * pi + gi * ps)
     if powers[0] == 1:
         fs, fi, gs, gi = _pair_product((fs, fi, gs, gi), xp, z, k)
-    gy = prod((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), y)
-    value = Multivector(x.sig, (fs, *gy[1:7], fi))
+    value = Multivector(sig, (fs, *cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t), fi))
     if not return_last_term:
         return value
     # c_N·x^N as (r·x)^N with r = |c_N|^(1/N), by binary powering on pairs:
@@ -206,5 +204,4 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
         if n:
             b = _pair_product(b, b, z, k)
     fs, fi, gs, gi = power or (abs(c), 0.0, 0.0, 0.0)
-    gy = prod((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), y)
-    return value, max(map(abs, Multivector(x.sig, (fs, *gy[1:7], fi)).t))
+    return value, max(abs(fs), abs(fi), *map(abs, cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t)))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cl3
@@ -36,8 +36,8 @@ from cl3 import (
     involute,
     sign_table,
 )
-from cl3.algebra import _INVOLUTION_SIGNS, blade_product
-from conftest import ALL_SIGS, max_err, rand_mv
+from cl3.algebra import _BLADE_MASKS, _CENTER_Y, _INVOLUTION_SIGNS, _PRODUCTS, _SQUARE_Y, _product_kernel, blade_product
+from conftest import ALL_SIGS, bench_reference, max_err, rand_mv
 from reference_values import REF_COEFFS, REF_DET
 
 # Hand-derived CL30 blade product table in the order
@@ -260,6 +260,84 @@ def test_determinant_and_inverse_past_the_fourth_power_range():
         inverse((Multivector.scalar(cl30, 1.0) + blade(cl30, "e1")) * 1e77)
 
 
+@given(sig=sig_st, coeffs=mv_coeffs, scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]))
+@settings(max_examples=150, deadline=None)
+def test_x_times_its_inverse_is_one(sig, coeffs, scale):
+    x = Multivector(sig, coeffs) * scale
+    try:
+        got = inverse(x)
+    except NonInvertibleError:
+        assume(False)
+    # x * adj = det up to rounding of size eps * (sum |c|)^4, so the identity
+    # holds to that over |det|.
+    cond = (sum(map(abs, x.t)) / abs(got.determinant) ** 0.25) ** 4
+    assert max_err(x * got.inverse, np.eye(8)[0]) <= 1e-14 * cond
+    assert max_err(got.inverse * x, np.eye(8)[0]) <= 1e-14 * cond
+
+
+# Zero divisors r * (1 + u), u^2 = 1: u = e1 (e1^2 = +1) where there is one, else e123.
+_UNIT_SQUARE_SLOT = {Signature.CL30: 1, Signature.CL12: 1, Signature.CL21: 1, Signature.CL03: 7}
+
+
+def _near_singular(sig, coeffs, eps):
+    u = [1.0] + [0.0] * 7
+    u[_UNIT_SQUARE_SLOT[sig]] = 1.0
+    return Multivector(sig, coeffs) * Multivector(sig, tuple(u)) + Multivector(sig, eps)
+
+
+@given(sig=st.sampled_from([Signature.CL30, Signature.CL12]), coeffs=mv_coeffs,
+       eps=st.lists(st.floats(min_value=-1e-6, max_value=1e-6), min_size=8, max_size=8),
+       scale=st.sampled_from([1e-30, 1.0, 1e30, 1e70]))
+@settings(max_examples=200, deadline=None)
+def test_determinant_is_nonnegative_where_e123_squares_to_minus_one(sig, coeffs, eps, scale):
+    # det = n_s^2 + n_i^2 of the central x * conj(x): never negative, also
+    # for generic and near-singular inputs at any scale.
+    assert determinant(Multivector(sig, coeffs) * scale) >= 0.0
+    x = _near_singular(sig, coeffs, eps) * scale
+    assert determinant(x) >= 0.0
+    det_norm(x)
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_determinant_and_inverse_match_the_oracle(sig):
+    # Generic and near-singular inputs over scales 1e-8 ... 1e80 against the
+    # 50-digit oracle: det to 1e-15 of (sum |c|)^4, and the inverse to its
+    # conditioning (sum |c|)^4 / |det|, less one digit.
+    import mpmath as mp
+
+    ref = bench_reference()
+    alg = sig.name.lower()
+    rng = np.random.default_rng(1212)
+    cases = [(scale, eps) for scale in (1e-8, 1.0, 1e30, 1e70) for eps in (None, 1e-3)] + [(1e80, 1e-9)]
+    for scale, eps in cases:
+        coeffs = tuple(rng.uniform(-1.0, 1.0, 8).tolist())
+        x = Multivector(sig, coeffs) if eps is None else _near_singular(sig, coeffs, tuple(rng.uniform(-eps, eps, 8)))
+        x = x * scale
+        want = ref.oracle_eval(alg, "determinant", x.t)[0]
+        with mp.workdps(50):
+            s4 = mp.mpf(sum(map(abs, x.t))) ** 4
+            assert abs(mp.mpf(determinant(x)) - want) <= 1e-15 * s4, (scale, eps)
+            floor = 15 + float(mp.log10(abs(want) / s4))
+        if eps == 1e-9:
+            with pytest.raises(NonInvertibleError) as exc:
+                inverse(x)
+            assert exc.value.determinant == determinant(x)
+            continue
+        got = inverse(x)
+        assert got.determinant == determinant(x)
+        assert ref.oracle_digits(got.inverse.t, ref.oracle_eval(alg, "inverse", x.t)) >= floor, (scale, eps)
+
+
+def test_adjugate_overflow_names_the_determinant():
+    # x * conj(x) = 2e300 * (1 + e123) is finite and det(x) = 0, but the
+    # adjugate conj(x) * conj(n) forms 1e150 * 2e300.
+    x = Multivector(Signature.CL03, (1e150, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e150))
+    assert determinant(x) == 0.0 and det_norm(x) == 0.0
+    for f in (adjugate, inverse):
+        with pytest.raises(NonFiniteError, match=r"^determinant of Multivector\(.+\) overflows double precision$"):
+            f(x)
+
+
 def test_determinant_overflow_is_a_typed_error():
     # The adjugate (about 1e231) is finite; the determinant (about 5e308) is not.
     x = Multivector(Signature.CL30, (3, 1, 2, 1, 2, 1, 3, 1)) * 3e76
@@ -316,6 +394,43 @@ def test_product_kernel_matches_sign_table(sig):
         for j in range(8):
             got = geometric_product(Multivector(sig, unit[i]), Multivector(sig, unit[j]))
             assert got.t == tuple(sign[i, j] * unit[index[i, j]])
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def _kernel_inputs(seed):
+    """1000 coefficient pairs; every fourth pair has +0.0 slots and every
+    fourth -0.0 slots, so the sign of a zero sum is compared too."""
+    rng = np.random.default_rng(seed)
+    for i in range(1000):
+        a, b = rng.uniform(-1.0, 1.0, (2, 8)) * 10.0 ** rng.uniform(-5.0, 5.0)
+        if i % 4 in (1, 2):
+            zero = 0.0 if i % 4 == 1 else -0.0
+            a[rng.random(8) < 0.5], b[rng.random(8) < 0.5] = zero, zero
+        yield tuple(a.tolist()), tuple(b.tolist())
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_restricted_kernels_equal_the_full_product_slots(sig):
+    # y = slots 1-6 and c = slots 0 and 7 of an input; the restricted kernels
+    # read only those slots of full tuples and return the full product's
+    # slots 0, 7 (y * y) and 1-6 (c * y), bit for bit.
+    full = _PRODUCTS[sig]
+    for a, b in _kernel_inputs(4321):
+        y, c = (0.0, *b[1:7], 0.0), (a[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, a[7])
+        yy = full(y, y)
+        assert _bits(_SQUARE_Y[sig](b, b)) == _bits((yy[0], yy[7]))
+        assert _bits(_CENTER_Y[sig](a, b)) == _bits(full(c, y)[1:7])
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_default_kernel_generator_reproduces_the_full_product(sig):
+    kernel = _product_kernel(_BLADE_MASKS, sig.squares)
+    assert kernel.__code__.co_code == _PRODUCTS[sig].__code__.co_code
+    for a, b in _kernel_inputs(8765):
+        assert _bits(kernel(a, b)) == _bits(_PRODUCTS[sig](a, b))
 
 
 # Generator bitmasks of EVEN_BLADE_NAMES and the 4D generator squares.

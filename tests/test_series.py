@@ -19,7 +19,7 @@ from cl3 import (
     euler_numbers,
     series_eval,
 )
-from cl3 import series
+from cl3 import algebra, series
 from cl3.series import _term_table
 from conftest import ALL_SIGS, bench_reference, rand_mv
 
@@ -201,15 +201,20 @@ def test_small_slots_are_componentwise_accurate(sig):
 
 
 def test_series_eval_makes_a_fixed_number_of_kernel_calls(monkeypatch):
-    calls = []
+    # y² and each G·y take a restricted kernel; the full product is never called.
+    calls, full = [], []
 
-    def counted(kernel):
+    def counted(kernel, log):
         def prod(a, b):
-            calls.append(1)
+            log.append(1)
             return kernel(a, b)
         return prod
 
-    monkeypatch.setattr(series, "_PRODUCTS", {sig: counted(k) for sig, k in series._PRODUCTS.items()})
+    for name in ("_SQUARE_Y", "_CENTER_Y"):
+        kernels = getattr(series, name)
+        monkeypatch.setattr(series, name, {sig: counted(kernels[sig], calls) for sig in Signature})
+    for sig in Signature:
+        monkeypatch.setitem(algebra._PRODUCTS, sig, counted(algebra._PRODUCTS[sig], full))
     x = Multivector(Signature.CL12, (0.1, 0.2, -0.3, 0.1, 0.2, 0.1, -0.2, 0.3))
     for family in (SeriesFamily.EXP, SeriesFamily.TANH, SeriesFamily.COSH):
         for order in (1, 20, 40, 60):
@@ -217,6 +222,7 @@ def test_series_eval_makes_a_fixed_number_of_kernel_calls(monkeypatch):
                 calls.clear()
                 series_eval(x, SeriesSpec(family, order), return_last_term=last)
                 assert len(calls) == want, (family, order, last)
+    assert not full
 
 
 def test_last_term_overflow_is_a_typed_error():

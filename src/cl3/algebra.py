@@ -8,8 +8,8 @@ i.e. graded by scalar, vector, bivector, pseudoscalar, with ascending
 generator indices inside each blade (``e13`` is the stored blade; ``e31``
 is its negative and never appears).  The product tables are derived from the
 generator relations ``ei*ej + ej*ei = +/-2*delta_ij`` rather than entered
-by hand, and each one is compiled at import into a straight-line function
-over two coefficient tuples.
+by hand, and each one is compiled on first use into a straight-line
+function over two coefficient tuples.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ BLADE_GRADES = tuple(mask.bit_count() for mask in _BLADE_MASKS)
 # (sum |c_i|)^4 overflows from about 3.7e77, long before the products do.
 _RESIDUE_ROOT = 1e-10 ** 0.5
 _SINGULAR_ROOT = 1e-12 ** 0.25
+# Below this sum |c_i|, det and 1/det may leave the normal range, so ``inverse``
+# works on x scaled by an exact power of two.
+_TINY_SUM = 2.0 ** -200
 
 
 class Signature(enum.Enum):
@@ -157,17 +160,19 @@ def _product_kernel(masks: Sequence[int], squares: Sequence[int], a_slots=None, 
 
 
 class _SlotKernels(dict):
-    def __init__(self, *slots):
-        self.slots = slots
+    """Product kernels keyed by algebra, each compiled on first use, so a process
+    pays only for the algebras it uses; ``squares(key)`` gives the generator squares."""
 
-    def __missing__(self, sig):
-        kernel = self[sig] = _product_kernel(_BLADE_MASKS, sig.squares, *self.slots)
+    def __init__(self, *slots, masks=_BLADE_MASKS, squares=operator.attrgetter("squares")):
+        self.slots, self.masks, self.squares = slots, masks, squares
+
+    def __missing__(self, key):
+        kernel = self[key] = _product_kernel(self.masks, self.squares(key), *self.slots)
         return kernel
 
 
-_PRODUCTS = {sig: _product_kernel(_BLADE_MASKS, sig.squares) for sig in Signature}
-# y * y (central) and c * y for y in slots 1-6 and c in slots 0 and 7, compiled
-# on first use, so a process pays only for the algebras it uses.
+# The full product, then y * y (central) and c * y for y in slots 1-6 and c in slots 0 and 7.
+_PRODUCTS = _SlotKernels()
 _SQUARE_Y = _SlotKernels(range(1, 7), range(1, 7), (0, 7))
 _CENTER_Y = _SlotKernels((0, 7), range(1, 7), range(1, 7))
 
@@ -399,17 +404,31 @@ def inverse(x: Multivector) -> InverseResult:
     """Adjugate, determinant and inverse of a multivector.
 
     Raises ``NonInvertibleError`` (still carrying the adjugate and the
-    determinant) when |det| falls below the scale-invariant cutoff.
+    determinant) when |det| falls below the scale-invariant cutoff.  Where
+    sum |c_i| < 2^-200 the inverse is 2^k inv(2^k x), with 2^k x's sum in
+    [1/2, 1); the adjugate and determinant are x's own and may underflow.
     """
     adj, det = _adjugate_with_det(x)
-    root = _SINGULAR_ROOT * sum(map(abs, x.t))
-    if abs(det) ** 0.25 <= root:
+    total = sum(map(abs, x.t))
+    k, adj_k, det_k = 0, adj, det
+    if 0.0 < total < _TINY_SUM:
+        k = -math.frexp(total)[1]
+        adj_k, det_k = _adjugate_with_det(Multivector(x.sig, tuple([math.ldexp(v, k) for v in x.t])))
+    det_root, root = math.ldexp(abs(det_k) ** 0.25, -k), _SINGULAR_ROOT * total
+    if det_root <= root:
         raise NonInvertibleError(
-            f"determinant {det:.6e} below singularity cutoff {root * root * root * root:.6e}",
+            f"determinant {det:.6e} below singularity cutoff: "
+            f"|det|^(1/4) = {det_root:.6e} <= 1e-3 * sum |c_i| = {root:.6e}",
             adjugate=adj,
             determinant=det,
         )
-    return InverseResult(adj, det, adj * (1.0 / det))
+    inv = adj_k * (1.0 / det_k)
+    if k:
+        try:
+            inv = Multivector(x.sig, tuple([math.ldexp(v, k) for v in inv.t]))
+        except OverflowError:
+            raise NonFiniteError(f"inverse of {x!r} overflows double precision") from None
+    return InverseResult(adj, det, inv)
 
 
 def det_norm(x: Multivector) -> float:

@@ -7,10 +7,10 @@ C(z) = cosh(sqrt z) and S(z) = sinh(sqrt z)/sqrt z.  There is one formula
 per center type: where e123^2 = -1 (CL30, CL12) the center is the complex
 plane; where e123^2 = +1 (CL03, CL21) it splits into the two real halves
 (1 +/- e123)/2.  ``exp`` has no tolerance and no branches: C and S switch
-to short Maclaurin polynomials near zero, at fixed points.  sin and cos
-share the formulas: f(c + y) = P(c)*C(k*z) + Q(c)*S(k*z)*(a + A), where
-(P, Q, k) is (e^c, e^c, 1), (sin c, cos c, -1) or (cos c, -sin c, -1);
-each (signature, function) pair is bound to its own body at import.
+to short Maclaurin polynomials near zero, at fixed points.  sin, cos, sinh
+and cosh share the formulas: f(c + y) = P(c)*C(k*z) + Q(c)*S(k*z)*(a + A)
+with P = f, Q = f' and f'' = k*f; each (signature, function) pair is bound
+to its own body at import.
 
 ``exp_factors`` reports the factor pair and a branch label for diagnosis
 only; the label's tolerance is fixed, and ``exp`` never reads it.
@@ -153,26 +153,37 @@ def _co(s):
     return math.cos(math.sqrt(-s))
 
 
-def _half_exp(a: float, b: float) -> float:
-    """e^(a + b) / 2, finite wherever it is representable, although e^a or
-    e^b alone may overflow, and e^(a + b) too.  The rounding error of a + b,
-    recovered exactly as in TwoSum, goes back in as the factor 1 + err."""
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """fl(a + b) and its exact rounding error (TwoSum)."""
     s = a + b
     t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _half_exp(s: float, err: float) -> float:
+    """e^(s + err) / 2, finite wherever it is representable, although e^s may overflow."""
     h = math.exp(0.5 * s)
-    return 0.5 * h * (h * (1.0 + ((a - (s - t)) + (b - t))))
+    return 0.5 * h * (h * (1.0 + err))
+
+
+def _first_order(f: Callable, g: Callable, k: float) -> Callable:
+    """(P, Q)/2 at s + err from P = f and Q = g = P', where Q' = k*P, to first order in err."""
+    def half(s, err):
+        p, q = f(s), g(s)
+        return 0.5 * (p + err * q), 0.5 * (q + k * err * p)
+    return half
 
 
 def _center_body(sig: Signature, name: str, k: float, on_complex, on_half) -> Callable:
-    """f(x) for x of ``sig`` from f's row: on the complex center (e123 = i) where
-    e123^2 = -1, else on each idempotent half from (P, Q)/2 of c+ or c-."""
+    """f(x) for x of ``sig`` from f's row: on the complex center (e123 = i) where e123^2 = -1,
+    else on each idempotent half from (P, Q)/2 at c+/- = a0 +/- a123 given as a TwoSum pair."""
     split, (s1, s2, s3) = sig.i_square == 1, _SQUARES[sig]
 
     def body(x: Multivector) -> Multivector:
         t = x.t
         try:
             if split:
-                (pp, qp), (pm, qm) = on_half(t[0], t[7]), on_half(t[0], -t[7])
+                (pp, qp), (pm, qm) = on_half(*_two_sum(t[0], t[7])), on_half(*_two_sum(t[0], -t[7]))
                 p1, p2, p3, m1, m2, m3, zp, zm = _halves(t, s1, s2, s3)
                 cp, cm = pp * _co(k * zp), pm * _co(k * zm)
                 sp, sm = qp * _si(k * zp), qm * _si(k * zm)
@@ -194,14 +205,14 @@ def _center_body(sig: Signature, name: str, k: float, on_complex, on_half) -> Ca
 
 
 # Per function: k, (P, Q) of c = a0 + i*a123 on the complex center, and
-# (P, Q)/2 of c = a + b on one real half (c+/- = a0 +/- a123).
+# (P, Q)/2 of c = s + err on one real half (c+/- = a0 +/- a123 as a TwoSum pair).
 _ROWS = {
     "exp": (1.0, lambda c: (e := cmath.rect(math.exp(c.real), c.imag), e),
-            lambda a, b: (h := _half_exp(a, b), h)),
-    "sin": (-1.0, lambda c: (cmath.sin(c), cmath.cos(c)),
-            lambda a, b: (0.5 * math.sin(a + b), 0.5 * math.cos(a + b))),
-    "cos": (-1.0, lambda c: (cmath.cos(c), -cmath.sin(c)),
-            lambda a, b: (0.5 * math.cos(a + b), -0.5 * math.sin(a + b))),
+            lambda s, err: (h := _half_exp(s, err), h)),
+    "sin": (-1.0, lambda c: (cmath.sin(c), cmath.cos(c)), _first_order(math.sin, math.cos, -1.0)),
+    "cos": (-1.0, lambda c: (cmath.cos(c), -cmath.sin(c)), _first_order(math.cos, lambda s: -math.sin(s), -1.0)),
+    "sinh": (1.0, lambda c: (cmath.sinh(c), cmath.cosh(c)), _first_order(math.sinh, math.cosh, 1.0)),
+    "cosh": (1.0, lambda c: (cmath.cosh(c), cmath.sinh(c)), _first_order(math.cosh, math.sinh, 1.0)),
 }
 
 # f(x) = _CENTER_FUNCTIONS[f][x.sig](x), raising ``NonFiniteError`` that names f on overflow.
@@ -245,7 +256,7 @@ def exp_particular(x: Multivector) -> Multivector:
             else:
                 # e^{a0} (cosh a123, sinh a123) from one exponential; expm1
                 # keeps the sinh term exact for small a123.
-                half = _half_exp(a0, abs(a123))
+                half = _half_exp(*_two_sum(a0, abs(a123)))
                 d = -math.expm1(-2.0 * abs(a123))
                 c, s = half * (2.0 - d), math.copysign(half * d, a123)
             return Multivector(x.sig, (c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s))

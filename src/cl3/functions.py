@@ -1,8 +1,8 @@
 """Exact trigonometric and hyperbolic multivector functions.
 
-sin and cos are rows of the closed-form exponential's bodies, in all four
-algebras; the hyperbolic pair comes from e^{+/-x}, and the tangents are
-sin * cos^{-1} and sinh * cosh^{-1} through the adjugate inverse.
+sin, cos, sinh and cosh are rows of the closed-form exponential's center
+evaluator, in all four algebras; the tangents are sin * cos^{-1} and
+sinh * cosh^{-1} through the adjugate inverse.
 """
 
 from __future__ import annotations
@@ -11,15 +11,11 @@ import math
 
 from .algebra import Multivector, det_norm, geometric_product, inverse
 from .exceptions import NormUndefinedError
-from .exponential import _CENTER_FUNCTIONS, exp
+from .exponential import _CENTER_FUNCTIONS
 
 __all__ = ["trig_exact", "hyperbolic_exact", "ratio_exact", "normalize"]
 
-
-def _hyperbolic(x: Multivector, names: tuple[str, ...]) -> list[Multivector]:
-    """sinh/cosh of ``x`` for each name, from one pair e^{+/-x}."""
-    e_pos, e_neg = exp(x), exp(-x)
-    return [(e_pos - e_neg) * 0.5 if name == "sinh" else (e_pos + e_neg) * 0.5 for name in names]
+_RATIOS = {"tan": ("sin", "cos"), "tanh": ("sinh", "cosh")}
 
 
 def trig_exact(x: Multivector, which: str) -> Multivector:
@@ -33,21 +29,15 @@ def hyperbolic_exact(x: Multivector, which: str) -> Multivector:
     """sinh or cosh of a general multivector, any of the four algebras."""
     if which not in ("sinh", "cosh"):
         raise ValueError(f"which must be 'sinh' or 'cosh', got {which!r}")
-    return _hyperbolic(x, (which,))[0]
+    return _CENTER_FUNCTIONS[which][x.sig](x)
 
 
 def ratio_exact(x: Multivector, which: str) -> Multivector:
-    """tan or tanh via the exact inverse of cos/cosh.
-
-    tanh's numerator and denominator share one pair of exponentials.
-    Propagates ``NonInvertibleError`` when the denominator has no inverse.
-    """
-    if which == "tanh":
-        num, den = _hyperbolic(x, ("sinh", "cosh"))
-    elif which == "tan":
-        num, den = _CENTER_FUNCTIONS["sin"][x.sig](x), _CENTER_FUNCTIONS["cos"][x.sig](x)
-    else:
+    """tan or tanh as sin * cos^{-1} or sinh * cosh^{-1}, through the exact inverse;
+    propagates ``NonInvertibleError`` when the denominator has no inverse."""
+    if which not in _RATIOS:
         raise ValueError(f"which must be 'tan' or 'tanh', got {which!r}")
+    num, den = (_CENTER_FUNCTIONS[name][x.sig](x) for name in _RATIOS[which])
     return geometric_product(num, inverse(den).inverse)
 
 
@@ -66,10 +56,9 @@ def normalize(x: Multivector, policy="ceil") -> tuple[Multivector, float]:
     elif policy == "ceil":
         scale = float(max(1, math.ceil(det_norm(x))))
     elif policy == "exact":
-        norm = det_norm(x)
-        if norm == 0.0:
+        scale = det_norm(x)
+        if scale == 0.0:
             raise NormUndefinedError("zero determinant; exact normalization undefined")
-        scale = norm
     else:
         raise ValueError(f"policy must be 'ceil', 'exact' or a number, got {policy!r}")
     return x / scale, scale

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 
 from .algebra import (
     _BLADE_MASKS,
+    _SlotKernels,
     _blade_name,
-    _product_kernel,
     BLADE_NAMES,
     Multivector,
     Signature,
@@ -42,7 +42,7 @@ _EVEN_MASKS = (0b0000, 0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100, 0b1111)
 EVEN_BLADE_NAMES = tuple(map(_blade_name, _EVEN_MASKS))
 
 _EVEN_SQUARES = {"cl13": (1, -1, -1, -1), "cl31": (1, 1, 1, -1)}
-_EVEN_PRODUCTS = {name: _product_kernel(_EVEN_MASKS, sq) for name, sq in _EVEN_SQUARES.items()}
+_EVEN_PRODUCTS = _SlotKernels(masks=_EVEN_MASKS, squares=_EVEN_SQUARES.__getitem__)
 
 
 @dataclass(frozen=True)

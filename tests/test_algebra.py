@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cl3
@@ -261,18 +261,53 @@ def test_determinant_and_inverse_past_the_fourth_power_range():
 
 
 @given(sig=sig_st, coeffs=mv_coeffs, scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]))
+@example(sig=Signature.CL30, coeffs=[0.0] * 7 + [1.3e-81], scale=1.0)  # det(x) is subnormal
+@example(sig=Signature.CL30, coeffs=[0.0] * 7 + [2.2250738585072014e-308], scale=1e-8)  # 1/x overflows
 @settings(max_examples=150, deadline=None)
 def test_x_times_its_inverse_is_one(sig, coeffs, scale):
     x = Multivector(sig, coeffs) * scale
+    # det(x) underflows for tiny x, so its conditioning is taken on x scaled by
+    # a power of two to a coefficient sum near one.
+    k = -math.frexp(sum(map(abs, x.t)))[1]
+    unit = Multivector(sig, tuple([math.ldexp(v, k) for v in x.t]))
     try:
         got = inverse(x)
     except NonInvertibleError:
         assume(False)
+    except NonFiniteError:
+        # Only where x^-1 = 2^k unit^-1 lies past the float range.
+        with pytest.raises(OverflowError):
+            [math.ldexp(v, k) for v in inverse(unit).inverse.t]
+        return
     # x * adj = det up to rounding of size eps * (sum |c|)^4, so the identity
     # holds to that over |det|.
-    cond = (sum(map(abs, x.t)) / abs(got.determinant) ** 0.25) ** 4
+    cond = (sum(map(abs, unit.t)) / abs(determinant(unit)) ** 0.25) ** 4
     assert max_err(x * got.inverse, np.eye(8)[0]) <= 1e-14 * cond
     assert max_err(got.inverse * x, np.eye(8)[0]) <= 1e-14 * cond
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_tiny_invertible_inputs_invert(sig, rng):
+    # det(2^-k x) = 2^-4k det(x) underflows from k of about 250, and 1/det
+    # overflows before; the inverse is 2^k inv(x), bit for bit.
+    base = rand_mv(rng, sig)
+    want = inverse(base).inverse
+    for k in (150, 200, 260, 500, 1000):
+        tiny = Multivector(sig, tuple([math.ldexp(v, -k) for v in base.t]))
+        got = inverse(tiny)
+        assert got.inverse.t == tuple([math.ldexp(v, k) for v in want.t]), k
+        assert got.determinant == determinant(tiny)
+    with pytest.raises(NonFiniteError, match=r"^inverse of .* overflows double precision$"):
+        inverse(Multivector.scalar(sig, 5e-324))
+
+
+def test_singular_cutoff_message_is_stated_in_fourth_roots():
+    # (sum |c|)^4 = 1.6e321 overflows, but its fourth root does not.
+    x = Multivector(Signature.CL03, (1e80, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e80))
+    with pytest.raises(NonInvertibleError) as exc:
+        inverse(x)
+    assert str(exc.value).endswith("|det|^(1/4) = 0.000000e+00 <= 1e-3 * sum |c_i| = 2.000000e+77")
+    assert "inf" not in str(exc.value)
 
 
 # Zero divisors r * (1 + u), u^2 = 1: u = e1 (e1^2 = +1) where there is one, else e123.

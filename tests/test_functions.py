@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cl3.exponential as exponential_module
 import cl3.functions as functions_module
 from cl3 import (
     Multivector,
@@ -123,16 +124,66 @@ def test_small_cl12_sine_keeps_full_precision():
     assert ref.oracle_digits(got.t, ref.oracle_eval("cl12", "sin", x)) >= 15.5
 
 
-def test_each_function_takes_one_pair_of_exponentials(rng, monkeypatch):
-    calls = []
-    real_exp = functions_module.exp
-    monkeypatch.setattr(functions_module, "exp", lambda x: calls.append(x) or real_exp(x))
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_hyperbolic_functions_match_the_oracle(sig):
+    # e^x - e^-x cancels for small x (about 8 digits at 1e-8); the sinh row does not.
+    ref = bench_reference()
+    rng = np.random.default_rng(13)
+    for scale in (1e-8, 1e-3, 1.0):
+        x = Multivector(sig, rng.uniform(-1.0, 1.0, 8) * scale)
+        for which, floor in (("sinh", 14.5), ("cosh", 14.5), ("tanh", 14.0)):
+            got = ratio_exact(x, which) if which == "tanh" else hyperbolic_exact(x, which)
+            digits = ref.oracle_digits(got.t, ref.oracle_eval(sig.name.lower(), which, x.t))
+            assert digits >= floor, (scale, which, digits)
+
+
+@pytest.mark.parametrize("sig", [Signature.CL03, Signature.CL21])
+def test_large_scalar_hyperbolic_keeps_full_precision(sig):
+    # c+/- = a0 +/- a123 rounds; without its rounding error sinh c+/- keeps 14.55 digits.
+    ref = bench_reference()
+    x = (-40.1, 0.31, -0.52, 0.27, 0.44, -0.18, 0.61, 3.3)
+    for which in ("sinh", "cosh"):
+        got = hyperbolic_exact(Multivector(sig, x), which)
+        assert ref.oracle_digits(got.t, ref.oracle_eval(sig.name.lower(), which, x)) >= 15.5, which
+
+
+@pytest.mark.parametrize("sig,coeffs", [
+    (Signature.CL30, (800, 0, 0, 0, 0, 0, 0, 0)),   # sinh(800) on the complex center
+    (Signature.CL12, (0, 800, 0, 0, 0, 0, 0, 0)),   # C(z) = cosh 800, e1^2 = +1
+    (Signature.CL03, (800, 0, 0, 0, 0, 0, 0, 0)),   # the same on both real halves
+    (Signature.CL21, (1e308, 0, 0, 0, 0, 0, 0, 1e308)),  # c+ = a0 + a123 overflows
+])
+def test_hyperbolic_overflow_is_a_typed_error(sig, coeffs):
+    x = Multivector(sig, coeffs)
+    for which in ("sinh", "cosh"):
+        with pytest.raises(NonFiniteError, match=f"^{which} of .* overflows double precision$"):
+            hyperbolic_exact(x, which)
+    with pytest.raises(NonFiniteError):
+        ratio_exact(x, "tanh")
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_sinh_is_finite_where_only_e_to_the_x_overflows(sig):
+    # e^710.2 overflows double precision; sinh 710.2 = 1.364e308 does not.
+    got = hyperbolic_exact(Multivector(sig, (710.2, 0, 0, 0, 0, 0, 0, 0)), "sinh")
+    assert got.t[0] == pytest.approx(math.sinh(710.2), rel=1e-15)
+
+
+def test_no_function_calls_exp(rng, monkeypatch):
+    # Each function is a row of the center evaluator or a quotient of two rows.
+    def no_exp(x):
+        raise AssertionError(f"exp({x!r}) called")
+
+    assert not hasattr(functions_module, "exp")
+    monkeypatch.setattr(exponential_module, "exp", no_exp)
+    for sig in ALL_SIGS:
+        monkeypatch.setitem(exponential_module._CENTER_FUNCTIONS["exp"], sig, no_exp)
     for sig in ALL_SIGS:
         x = rand_mv(rng, sig)
-        for fn, which in [(ratio_exact, "tanh"), (hyperbolic_exact, "sinh"), (hyperbolic_exact, "cosh")]:
-            calls.clear()
-            fn(x, which)
-            assert len(calls) == 2, (sig, which)
+        for fn, names in ((trig_exact, ("sin", "cos")), (hyperbolic_exact, ("sinh", "cosh")),
+                          (ratio_exact, ("tan", "tanh"))):
+            for which in names:
+                fn(x, which)
 
 
 def test_ratio_is_bit_identical_to_explicit_quotient(rng):

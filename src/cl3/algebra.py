@@ -372,12 +372,17 @@ def _center_norm(x: Multivector) -> tuple[float, float, float]:
     return ns, ni, det
 
 
+def _center_mul(a: tuple[float, float], b: tuple[float, float], k: float) -> tuple[float, float]:
+    """Product of center pairs (s, i) = s + i*e123, with k = e123^2."""
+    return a[0] * b[0] + k * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
     """Adjugate conj(x) * conj(n) = c * conj(n) - conj(n) * y, and det."""
     ns, ni, det = _center_norm(x)
     t, sig = x.t, x.sig
-    adj = (t[0] * ns - sig.i_square * t[7] * ni, *_CENTER_Y[sig]((-ns, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ni), t),
-           t[7] * ns - t[0] * ni)
+    cs, ci = _center_mul((t[0], t[7]), (ns, -ni), sig.i_square)
+    adj = (cs, *_CENTER_Y[sig]((-ns, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ni), t), ci)
     try:
         return Multivector(sig, adj), det
     except NonFiniteError:

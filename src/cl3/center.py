@@ -12,7 +12,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .algebra import _SQUARE_Y, Multivector, Signature
+from .algebra import _SQUARE_Y, Multivector, Signature, _center_mul
 from .exceptions import NoIsolatedRootError
 
 __all__ = ["CenterElement", "center_decompose", "center_product", "sqrt_center"]
@@ -30,11 +30,7 @@ class CenterElement(NamedTuple):
 
 def center_product(x: CenterElement, y: CenterElement, sig: Signature) -> CenterElement:
     """Product of two center elements under the signature's pseudoscalar square."""
-    i2 = sig.i_square
-    return CenterElement(
-        x.a_s * y.a_s + i2 * x.a_i * y.a_i,
-        x.a_s * y.a_i + x.a_i * y.a_s,
-    )
+    return CenterElement(*_center_mul(x, y, sig.i_square))
 
 
 def center_decompose(x: Multivector) -> CenterElement:
@@ -56,8 +52,9 @@ def sqrt_center(c: CenterElement, sig: Signature) -> list[CenterElement]:
     """All isolated square roots of a center element.
 
     CL30/CL12 (e123^2 = -1) yield one +/- pair whenever a_s + |c| > 0.
-    CL03/CL21 (e123^2 = +1) yield up to two +/- pairs, one per branch
-    a_s +/- sqrt(a_s^2 - a_i^2) that is positive, provided a_s^2 > a_i^2.
+    CL03/CL21 (e123^2 = +1) yield the pair +/-r, with r from +sqrt(a_s +/- a_i)
+    on the two halves, plus +/-e123*r unless r's e123 part is 0, provided
+    a_s > |a_i|.
     Violated conditions raise ``NoIsolatedRootError``.
     """
     a_s, a_i = c.a_s, c.a_i
@@ -65,27 +62,19 @@ def sqrt_center(c: CenterElement, sig: Signature) -> list[CenterElement]:
         # The center is the complex plane; a root on the e123 axis (real
         # part 0) is not isolated.
         root = cmath.sqrt(complex(a_s, a_i))
-        if root.real <= 0.0:
-            raise NoIsolatedRootError(
-                f"center {a_s:.6g} + {a_i:.6g}*e123 has no isolated root in {sig.name}"
-            )
-        return [CenterElement(root.real, root.imag), CenterElement(-root.real, -root.imag)]
-
-    disc = (a_s - a_i) * (a_s + a_i)
-    roots: list[CenterElement] = []
-    if disc > 0.0:
-        d = math.sqrt(disc)
-        plus = a_s + d
-        # a_s - d cancels for small |a_i|; its product with a_s + d is a_i^2.
-        minus = (a_i * a_i) / plus if plus > 0.0 else a_s - d
-        for branch in (plus, minus):
-            if branch > 0.0:
-                denom = math.sqrt(2.0 * branch)
-                root = CenterElement(branch / denom, a_i / denom)
-                roots.append(root)
-                roots.append(CenterElement(-root.a_s, -root.a_i))
-    if not roots:
-        raise NoIsolatedRootError(
-            f"center {a_s:.6g} + {a_i:.6g}*e123 has no isolated root in {sig.name}"
-        )
-    return roots
+        if root.real > 0.0:
+            return [CenterElement(root.real, root.imag), CenterElement(-root.real, -root.imag)]
+    elif a_s > abs(a_i):
+        # On the halves (1 +/- e123)/2 the center is the pair of reals a_s +/- a_i,
+        # and a root takes +/-sqrt of each: r = w + v*e123 from both positive ones.
+        w = 0.5 * (math.sqrt(a_s + a_i) + math.sqrt(a_s - a_i))
+        v = a_i / (2.0 * w)
+        roots = [CenterElement(w, v), CenterElement(-w, -v)]
+        if v:
+            # e123 * r = v + w*e123, signed so that its scalar part is positive.
+            u = math.copysign(w, a_i)
+            roots += [CenterElement(abs(v), u), CenterElement(-abs(v), -u)]
+        return roots
+    raise NoIsolatedRootError(
+        f"center {a_s:.6g} + {a_i:.6g}*e123 has no isolated root in {sig.name}"
+    )

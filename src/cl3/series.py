@@ -17,6 +17,7 @@ import enum
 import math
 import sys
 from functools import lru_cache
+from itertools import takewhile
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import _CENTER_Y, _SQUARE_Y, Multivector
@@ -151,7 +152,9 @@ def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tupl
         coeffs = [eul[p] / math.factorial(p) for p in powers]
     else:
         # Integer true division rounds correctly: 1 / p! is float(Fraction(1, p!)).
-        coeffs = [1 / math.factorial(p) for p in powers]
+        # From p = 178 on it rounds to 0.0, so the factorials stop at the first zero.
+        coeffs = list(takewhile(bool, (1 / math.factorial(p) for p in powers)))
+        coeffs += [0.0] * (len(powers) - len(coeffs))
     if hyper is not family:
         coeffs = [-c if p // 2 % 2 else c for p, c in zip(powers, coeffs)]
     return tuple(powers), tuple(float(c) for c in coeffs)

@@ -97,6 +97,15 @@ def test_sqrt_center_four_roots_when_conditions_hold():
     assert len(roots) == 4
     plus = {(round(r.a_s, 10), round(r.a_i, 10)) for r in roots}
     assert len(plus) == 4
+    # a_i^2 underflows here; the halves a_s +/- a_i still give the e123 * r pair.
+    for sig in (Signature.CL03, Signature.CL21):
+        for c in (CenterElement(4.0, 1e-170), CenterElement(9.0, -1e-300)):
+            roots = sqrt_center(c, sig)
+            assert len(set(roots)) == 4
+            for r in roots:
+                sq = center_product(r, r, sig)
+                assert abs(sq.a_s - c.a_s) <= 1e-12 * abs(c.a_s)
+                assert abs(sq.a_i - c.a_i) <= 1e-12 * abs(c.a_i)
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,13 @@ def test_exp_inverse_by_sign_flip(sig, rng):
     for _ in range(50):
         x = rand_mv(rng, sig)
         assert max_err(geometric_product(exp(x), exp(-x)), one) <= 1e-10
+    for scale in (1e-8, 1e-3, 1.0, 4.0):
+        for _ in range(25):
+            x = rand_mv(rng, sig, scale)
+            e, f = exp(x), exp(-x)
+            # Relative to the size of the terms summed: the largest e_i * f_j.
+            size = max(1.0, max(map(abs, e.t)) * max(map(abs, f.t)))
+            assert max_err(geometric_product(e, f), one) <= 1e-13 * size
 
 
 @pytest.mark.parametrize("sig", ALL_SIGS)

@@ -141,6 +141,19 @@ def test_term_table_rounds_exact_fractions():
             assert coeffs == tuple(float(_exact_coefficient(family, p)) for p in powers), (family, order)
 
 
+def test_long_term_table_stops_forming_factorials(monkeypatch):
+    # 1 / p! rounds to 0.0 from p = 178 on, so order 2000 is order 200 padded with zeros.
+    calls, factorial = [], math.factorial
+    monkeypatch.setattr(math, "factorial", lambda p: calls.append(p) or factorial(p))
+    for family in (SeriesFamily.EXP, SeriesFamily.SIN, SeriesFamily.COS, SeriesFamily.SINH, SeriesFamily.COSH):
+        calls.clear()
+        powers, coeffs = _term_table.__wrapped__(family, 2000)
+        assert len(calls) <= 180, family
+        short_powers, short = _term_table.__wrapped__(family, 200)
+        assert powers[:len(short_powers)] == short_powers
+        assert coeffs == short + (0.0,) * (len(powers) - len(short)), family
+
+
 def _exact_powers(x, top):
     """x^0 .. x^top e_0 at the oracle's precision, on ``bench/reference.py``'s
     left-regular matrix of ``x``."""

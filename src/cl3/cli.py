@@ -47,57 +47,33 @@ _EVAL = {
 _SERIES_FAMILIES = ("exp", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 _CONVERGENCE_WARN = 1e-6
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*/]))")
+_NUM = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+# One term of the term form: its signs, then ``number [* blade]`` or a bare blade.
+_TERM = re.compile(rf"(?P<signs>[\s+-]*)(?:(?P<num>{_NUM})(?P<star>\s*\*\s*(?P<blade>{_NAME})?)?|(?P<bare>{_NAME}))?")
 
 
 def _parse_terms(text: str, sig: Signature) -> Multivector:
     coeffs = [0.0] * 8
-    pos = 0
-    n = len(text)
-    sign = 1.0
-    expect_term = True
+    pos = 0  # past the first term (pos > 0), every term needs a sign
     while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise MVParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
-        if m.lastgroup == "op" and m.group("op") in "+-":
-            if expect_term and m.group("op") == "+":
-                pos = m.end()
-                continue
-            sign *= -1.0 if m.group("op") == "-" else 1.0
-            pos = m.end()
-            expect_term = True
-            continue
-        if not expect_term:
-            raise MVParseError("expected '+' or '-' between terms", column=pos + 1)
-        value = 1.0
-        blade_idx = 0
-        if m.lastgroup == "num":
-            value = float(m.group("num"))
-            pos = m.end()
-            m2 = _TOKEN.match(text, pos)
-            if m2 and m2.lastgroup == "op" and m2.group("op") == "*":
-                pos = m2.end()
-                m3 = _TOKEN.match(text, pos)
-                if not m3 or m3.lastgroup != "name":
-                    raise MVParseError("expected blade name after '*'", column=pos + 1)
-                blade_idx = _blade_index(m3.group("name"), pos)
-                pos = m3.end()
-        elif m.lastgroup == "name":
-            blade_idx = _blade_index(m.group("name"), pos)
-            pos = m.end()
-        else:
-            raise MVParseError(f"unexpected {m.group()!r}", column=pos + 1)
-        coeffs[blade_idx] += sign * value
-        sign = 1.0
-        expect_term = False
-    if expect_term:
-        raise MVParseError("dangling sign at end of input", column=n)
-    return Multivector(sig, tuple(coeffs))
+        m = _TERM.match(text, pos)
+        signed, at = m["signs"].strip(), m.end("signs")
+        if not (m["num"] or m["bare"]):
+            if at < len(text):
+                raise MVParseError(f"unexpected character {text[at]!r}", column=at + 1)
+            if pos and not signed:
+                return Multivector(sig, tuple(coeffs))
+            raise MVParseError("dangling sign at end of input", column=len(text))
+        if pos and not signed:
+            raise MVParseError("expected '+' or '-' between terms", column=at + 1)
+        if m["star"] and not m["blade"]:
+            raise MVParseError("expected blade name after '*'", column=m.end() + 1)
+        name = m["blade"] or m["bare"]
+        blade_idx = _blade_index(name, m.end() - len(name)) if name else 0
+        value = float(m["num"]) if m["num"] else 1.0
+        coeffs[blade_idx] += (-1.0 if signed.count("-") % 2 else 1.0) * value
+        pos = m.end()
 
 
 def _blade_index(name: str, pos: int) -> int:
@@ -172,25 +148,23 @@ def _cmd_eval(args) -> int:
             for r in roots:
                 print(f"root: {render_mv(r.as_multivector(sig), args.digits)}")
         return 0
-    if fn == "exp-factors":
-        f = exp_factors(mv)
-        payload = {
-            "algebra": sig.name.lower(),
-            "branch": f.branch.value,
-            "a_plus_sq": f.a_plus_sq,
-            "a_minus_sq": f.a_minus_sq,
-            "a_plus": f.a_plus,
-            "a_minus": f.a_minus,
-            "c_norm": f.c_norm,
-        }
-        if args.format == "json":
-            print(json.dumps(payload))
-        else:
-            for key, value in payload.items():
-                if value is not None:
-                    print(f"{key}: {value:.{args.digits}g}" if isinstance(value, float) else f"{key}: {value}")
-        return 0
-    raise Cl3Error(f"unknown function {fn!r}")
+    f = exp_factors(mv)  # fn is "exp-factors", the last of argparse's choices
+    payload = {
+        "algebra": sig.name.lower(),
+        "branch": f.branch.value,
+        "a_plus_sq": f.a_plus_sq,
+        "a_minus_sq": f.a_minus_sq,
+        "a_plus": f.a_plus,
+        "a_minus": f.a_minus,
+        "c_norm": f.c_norm,
+    }
+    if args.format == "json":
+        print(json.dumps(payload))
+    else:
+        for key, value in payload.items():
+            if value is not None:
+                print(f"{key}: {value:.{args.digits}g}" if isinstance(value, float) else f"{key}: {value}")
+    return 0
 
 
 def _series(fn: str, mv: Multivector, terms: int) -> Multivector:
@@ -219,8 +193,6 @@ def _emit(value: Multivector | float, args) -> None:
 def _cmd_compare(args) -> int:
     sig = Signature.from_name(args.algebra)
     mv = parse_mv(args.mv, sig)
-    if args.fn not in _SERIES_FAMILIES:
-        raise Cl3Error(f"--fn {args.fn} has no series family to compare against")
     closed = _EVAL[args.fn](mv)
     approx = _series(args.fn, mv, args.terms)
     max_delta = max(abs(a - b) for a, b in zip(closed.t, approx.t))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .algebra import Multivector, det_norm, geometric_product, inverse
-from .exceptions import NormUndefinedError
+from .exceptions import NonFiniteError, NormUndefinedError
 from .exponential import _CENTER_FUNCTIONS
 
 __all__ = ["trig_exact", "hyperbolic_exact", "ratio_exact", "normalize"]
@@ -34,11 +34,18 @@ def hyperbolic_exact(x: Multivector, which: str) -> Multivector:
 
 def ratio_exact(x: Multivector, which: str) -> Multivector:
     """tan or tanh as sin * cos^{-1} or sinh * cosh^{-1}, through the exact inverse;
-    propagates ``NonInvertibleError`` when the denominator has no inverse."""
+    propagates ``NonInvertibleError`` when the denominator has no inverse, and
+    ``NonFiniteError`` when a row itself overflows."""
     if which not in _RATIOS:
         raise ValueError(f"which must be 'tan' or 'tanh', got {which!r}")
     num, den = (_CENTER_FUNCTIONS[name][x.sig](x) for name in _RATIOS[which])
-    return geometric_product(num, inverse(den).inverse)
+    try:
+        den_inv = inverse(den).inverse
+    except NonFiniteError:  # det(den) overflows: retry once on num, den times 2^k (sum |den_i| < 1)
+        k = -math.frexp(sum(map(abs, den.t)))[1]
+        num, den = (Multivector(x.sig, tuple([math.ldexp(v, k) for v in y.t])) for y in (num, den))
+        den_inv = inverse(den).inverse
+    return geometric_product(num, den_inv)
 
 
 def normalize(x: Multivector, policy="ceil") -> tuple[Multivector, float]:

@@ -7,8 +7,8 @@ the tangent and secant families from exact rationals (Bernoulli and Euler
 numbers), the others as 1 / p! straight from the integer p!.
 Evaluation splits x = c + y: c = a0 + a123·e123 is central and so is
 z = y².  Every power of x is then F + G·y with F, G in the center, and
-Horner runs on those four floats with the product of
-``center.center_product``, nested in x² for the even/odd families.
+Horner runs on those four floats with ``_pair_product`` (inlined in the
+loop), nested in x² for the even/odd families.
 """
 
 from __future__ import annotations

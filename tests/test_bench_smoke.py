@@ -1,15 +1,20 @@
-"""Smoke test of the benchmark harness: one short run of one workload."""
+"""Smoke test of the benchmark harness: one short run of each checked workload."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_series_compare_run_passes_and_reports_the_declared_metrics():
-    argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "series_compare",
+# cli_process runs one whole cycle of eval/compare processes (about 6 s); its check
+# compares the CLI's JSON for comma- and term-form literals with the library's result.
+@pytest.mark.parametrize("workload", ["series_compare", "cli_process"])
+def test_workload_run_passes_and_reports_the_declared_metrics(workload):
+    argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
             "--seed", "1", "--seconds", "0.2", "--trace", "0"]
     proc = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -43,6 +43,16 @@ def test_parse_bare_blades_and_signs():
     assert mv.c[0] == -2.5
     assert mv.c[3] == -1.0
     assert mv.c[4] == 1.0
+    for text, coeffs in (
+        ("1 - - e1", (1, 1, 0, 0, 0, 0, 0, 0)),
+        ("+ + 1", (1, 0, 0, 0, 0, 0, 0, 0)),
+        ("1 + - 2*e12", (1, 0, 0, 0, -2, 0, 0, 0)),
+        ("e2 - e123", (0, 0, 1, 0, 0, 0, 0, -1)),
+        ("2 * e13", (0, 0, 0, 0, 0, 2, 0, 0)),
+        ("1e-05*e1 + .5e3", (500, 1e-05, 0, 0, 0, 0, 0, 0)),
+        ("e23 + 2*e23 - .5*e23", (0, 0, 0, 0, 0, 0, 2.5, 0)),
+    ):
+        assert parse_mv(text, CL30).t == coeffs, text
 
 
 def test_parse_rejects_descending_blade():
@@ -61,11 +71,11 @@ def test_parse_error_columns():
     with pytest.raises(MVParseError):
         parse_mv("1,2,3,x,5,6,7,8", CL30)
     with pytest.raises(MVParseError):
-        parse_mv("1 + 2*e1 +", CL30)
-    with pytest.raises(MVParseError):
-        parse_mv("1 2", CL30)
-    with pytest.raises(MVParseError):
         parse_mv("3*e7", CL30)
+    for text, column in (("1 + 2*e1 +", 10), ("1 2", 3), ("2.5*", 5), ("2.5*$", 5)):
+        with pytest.raises(MVParseError) as exc:
+            parse_mv(text, CL30)
+        assert exc.value.column == column, text
 
 
 def test_render_examples():

@@ -163,6 +163,25 @@ def test_hyperbolic_overflow_is_a_typed_error(sig, coeffs):
 
 
 @pytest.mark.parametrize("sig", ALL_SIGS)
+@pytest.mark.parametrize("a0", [180.0, 400.0, 700.0])
+def test_tanh_past_the_determinant_overflow_of_cosh(sig, a0):
+    # det(cosh x) ~ cosh^4 a0 overflows from a0 ~ 180; the rows themselves do not.
+    ref = bench_reference()
+    x = (a0, 0.1, 0, 0, 0, 0, 0, 0)
+    got = ratio_exact(Multivector(sig, x), "tanh")
+    assert ref.oracle_digits(got.t, ref.oracle_eval(sig.name.lower(), "tanh", x)) >= 15.0
+
+
+@pytest.mark.parametrize("sig", [Signature.CL30, Signature.CL12])
+@pytest.mark.parametrize("a123", [180.0, -400.0, 700.0])
+def test_tan_past_the_determinant_overflow_of_cos(sig, a123):
+    # tan(a e123) = e123 tanh a where e123^2 = -1, so it tends to sign(a) e123.
+    got = ratio_exact(Multivector(sig, (0, 0, 0, 0, 0, 0, 0, a123)), "tan")
+    want = (0, 0, 0, 0, 0, 0, 0, math.copysign(1.0, a123))
+    assert max(abs(g - w) for g, w in zip(got.t, want)) <= 4.5e-16
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
 def test_sinh_is_finite_where_only_e_to_the_x_overflows(sig):
     # e^710.2 overflows double precision; sinh 710.2 = 1.364e308 does not.
     got = hyperbolic_exact(Multivector(sig, (710.2, 0, 0, 0, 0, 0, 0, 0)), "sinh")

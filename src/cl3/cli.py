@@ -64,6 +64,8 @@ def _parse_terms(text: str, sig: Signature) -> Multivector:
                 raise MVParseError(f"unexpected character {text[at]!r}", column=at + 1)
             if pos and not signed:
                 return Multivector(sig, tuple(coeffs))
+            if not (pos or signed):
+                raise MVParseError("empty multivector literal", column=1)
             raise MVParseError("dangling sign at end of input", column=len(text))
         if pos and not signed:
             raise MVParseError("expected '+' or '-' between terms", column=at + 1)

@@ -45,7 +45,7 @@ _EVEN_SQUARES = {"cl13": (1, -1, -1, -1), "cl31": (1, 1, 1, -1)}
 _EVEN_PRODUCTS = _SlotKernels(masks=_EVEN_MASKS, squares=_EVEN_SQUARES.__getitem__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvenMultivector:
     """Even-grade element of a 4D algebra on the 8 even blades."""
 
@@ -62,6 +62,13 @@ class EvenMultivector:
             raise ValueError("coefficients must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
+
+    def __eq__(self, other):
+        if not isinstance(other, EvenMultivector):
+            return NotImplemented
+        return self.algebra == other.algebra and self.c.tolist() == other.c.tolist()
+
+    __hash__ = None
 
 
 def even_geometric_product(x: EvenMultivector, y: EvenMultivector) -> EvenMultivector:

@@ -2,9 +2,9 @@
 
 A series of order ``n`` keeps every term of degree at most ``n``, matching
 the subscript convention of the reference tables (the order-6 hyperbolic
-sine is A + A^3/3! + A^5/5!).  Coefficients are rounded once to float:
-the tangent and secant families from exact rationals (Bernoulli and Euler
-numbers), the others as 1 / p! straight from the integer p!.
+sine is A + A^3/3! + A^5/5!).  Each coefficient is one correctly rounded
+integer division N_p / p!: N_p = 1, or ±A_p for tan, tanh, sec and sech,
+with A_p the zigzag numbers of sec x + tan x = Σ A_p x^p/p!.
 Evaluation splits x = c + y: c = a0 + a123·e123 is central and so is
 z = y².  Every power of x is then F + G·y with F, G in the center, and
 Horner runs on those four floats with ``_pair_product`` (inlined in the
@@ -17,7 +17,7 @@ import enum
 import math
 import sys
 from functools import lru_cache
-from itertools import takewhile
+from itertools import accumulate, repeat, takewhile
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import _CENTER_Y, _SQUARE_Y, Multivector
@@ -35,9 +35,9 @@ __all__ = [
     "euler_numbers",
 ]
 
-# Bernoulli/Euler numbers are tabulated up to this index, which caps the
-# order of the tangent and secant families.  The order-40 tangent tables
-# consume B_40, so 60 leaves headroom.
+# Caps the order of the tangent and secant families, whose coefficients
+# come from the O(n²) big-integer zigzag triangle: this bounds that work on
+# CLI input.  The order-40 tables are the largest the benchmark uses.
 MAX_TABLE_ORDER = 60
 
 
@@ -73,49 +73,36 @@ class SeriesSpec(NamedTuple("SeriesSpec", [("family", SeriesFamily), ("terms", i
 
 
 @lru_cache(maxsize=None)
-def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
-    """B_0..B_n as exact fractions (Akiyama-Tanigawa, B_1 = -1/2)."""
-    from fractions import Fraction
-
-    row = [Fraction(0)] * (n + 1)
-    out = []
-    for m in range(n + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
-    if n >= 1:
-        out[1] = Fraction(-1, 2)
+def _zigzag(n: int) -> tuple[int, ...]:
+    """A_0..A_n of sec x + tan x = Σ A_p x^p/p!, by Seidel's boustrophedon: each
+    row is the running sum, from 0, of the previous row reversed; A_m ends row m."""
+    row, out = [1], [1]
+    for _ in range(n):
+        row = list(accumulate(reversed(row), initial=0))
+        out.append(row[-1])
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def euler_numbers(n: int) -> tuple[Fraction, ...]:
-    """E_0..E_n as exact fractions (odd-index entries are zero).
-
-    Generated from the reciprocal condition sech * cosh = 1, which is where
-    the secant-family series coefficients come from in the first place.
-    """
+def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
+    """B_0..B_n as exact fractions (B_1 = -1/2), from the zigzag numbers:
+    B_m = (-1)^(m/2+1)·m·A_(m-1) / (4^m - 2^m) for even m >= 2."""
     from fractions import Fraction
 
-    even = [Fraction(1)]
-    for k in range(1, n // 2 + 1):
-        acc = Fraction(0)
-        for j in range(k):
-            acc += even[j] / (math.factorial(2 * j) * math.factorial(2 * (k - j)))
-        even.append(-math.factorial(2 * k) * acc)
-    out = []
-    for i in range(n + 1):
-        out.append(even[i // 2] if i % 2 == 0 else Fraction(0))
-    return tuple(out)
+    a = _zigzag(n)
+    out = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, n + 1):
+        out.append(Fraction((-1) ** (m // 2 + 1) * m * a[m - 1], 4**m - 2**m) if m % 2 == 0 else Fraction(0))
+    return tuple(out[: n + 1])
 
 
-def _check_order(family: SeriesFamily, order: int) -> None:
-    if family in _TABLE_FAMILIES and order > MAX_TABLE_ORDER:
-        raise SeriesOrderError(
-            f"{family.value} coefficients are tabulated up to order {MAX_TABLE_ORDER}, "
-            f"got {order}"
-        )
+@lru_cache(maxsize=None)
+def euler_numbers(n: int) -> tuple[Fraction, ...]:
+    """E_0..E_n as exact fractions: E_m = (-1)^(m/2)·A_m, zero for odd m."""
+    from fractions import Fraction
+
+    a = _zigzag(n)
+    return tuple(Fraction((-1) ** (m // 2) * a[m] if m % 2 == 0 else 0) for m in range(n + 1))
 
 
 # sin(x) = -i sinh(ix), cos(x) = cosh(ix), tan(x) = -i tanh(ix) and
@@ -132,7 +119,6 @@ _HYPERBOLIC_OF = {
 @lru_cache(maxsize=None)
 def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Powers and float coefficients of all series terms of degree <= order."""
-    _check_order(family, order)
     hyper = _HYPERBOLIC_OF.get(family, family)
     if hyper is SeriesFamily.EXP:
         powers = range(order + 1)
@@ -140,24 +126,23 @@ def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tupl
         powers = range(1, order + 1, 2)
     else:  # COSH / SECH_EULER
         powers = range(0, order + 1, 2)
-    if not powers:
-        # Order 1 always keeps at least one term in every family.
-        raise SeriesOrderError(f"{family.value} series has no terms of degree <= {order}")
-    if hyper is SeriesFamily.TANH:
-        bern = bernoulli_numbers(order + 1)
-        # x^p takes 2^n (2^n - 1) B_n / n! with n = p + 1.
-        coeffs = [2 ** (p + 1) * (2 ** (p + 1) - 1) * bern[p + 1] / math.factorial(p + 1) for p in powers]
-    elif hyper is SeriesFamily.SECH_EULER:
-        eul = euler_numbers(order)
-        coeffs = [eul[p] / math.factorial(p) for p in powers]
+    # N_p = (-1)^(p // 2)·A_p for tanh and sech; the trig flip makes it +A_p for tan and sec.
+    if family in _TABLE_FAMILIES:
+        if order > MAX_TABLE_ORDER:
+            raise SeriesOrderError(
+                f"{family.value} coefficients are tabulated up to order {MAX_TABLE_ORDER}, got {order}"
+            )
+        a = _zigzag(order)
+        nums = [-a[p] if p // 2 % 2 else a[p] for p in powers]
     else:
-        # Integer true division rounds correctly: 1 / p! is float(Fraction(1, p!)).
-        # From p = 178 on it rounds to 0.0, so the factorials stop at the first zero.
-        coeffs = list(takewhile(bool, (1 / math.factorial(p) for p in powers)))
-        coeffs += [0.0] * (len(powers) - len(coeffs))
+        nums = repeat(1)
+    # Integer true division rounds correctly: N_p / p! is float(Fraction(N_p, p!)).
+    # 1 / p! rounds to 0.0 from p = 178 on, so the factorials stop at the first zero.
+    coeffs = list(takewhile(bool, (n / math.factorial(p) for n, p in zip(nums, powers))))
+    coeffs += [0.0] * (len(powers) - len(coeffs))
     if hyper is not family:
         coeffs = [-c if p // 2 % 2 else c for p, c in zip(powers, coeffs)]
-    return tuple(powers), tuple(float(c) for c in coeffs)
+    return tuple(powers), tuple(coeffs)
 
 
 def _pair_product(a, b, z, k):

@@ -178,11 +178,11 @@ class ProbabilityTrace:
 def sweep_ramp(sweep: RampSweep, sigma: int, method: str = "closed") -> ProbabilityTrace:
     """Spin-down trace along the ramp.
 
-    ``closed`` treats the ramp adiabatically: each sample evaluates the
-    constant-field closed form at the instantaneous b0, with the Rabi phase
-    accumulated over the elapsed time since the ramp start.  ``stepped``
-    instead propagates the spinor across the samples with b0 held constant
-    on each interval, as an independent cross-check.
+    ``closed`` evaluates the constant-field Rabi law at each sample's b0,
+    with t from the ramp start: a resonance curve, not a solution of the
+    ramp ODE (0.63–0.68 off it in p).  ``stepped`` holds b0 at the left end
+    of each interval, a first-order solver of that ODE: 2.43e-3 off
+    ``solve_ivp`` in p on the paper ramp.
     """
     import numpy as np
 

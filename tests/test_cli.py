@@ -72,8 +72,13 @@ def test_parse_error_columns():
         parse_mv("1,2,3,x,5,6,7,8", CL30)
     with pytest.raises(MVParseError):
         parse_mv("3*e7", CL30)
-    for text, column in (("1 + 2*e1 +", 10), ("1 2", 3), ("2.5*", 5), ("2.5*$", 5)):
-        with pytest.raises(MVParseError) as exc:
+    for text, column, message in (
+        ("1 + 2*e1 +", 10, "dangling sign"), ("1 2", 3, "between terms"),
+        ("2.5*", 5, "expected blade name"), ("2.5*$", 5, "expected blade name"),
+        ("", 1, "empty multivector literal"), ("   ", 1, "empty multivector literal"),
+        ("+", 1, "dangling sign"), ("1 +", 3, "dangling sign"),
+    ):
+        with pytest.raises(MVParseError, match=message) as exc:
             parse_mv(text, CL30)
         assert exc.value.column == column, text
 

@@ -85,9 +85,11 @@ def test_eval_loads_no_series_spin_remap_or_dataclasses():
 
 
 def test_compare_loads_series_but_not_spin_or_remap():
-    _, loaded = _loaded([["compare", "--fn", "sin", "--terms", "12", "--mv", _LITERAL, "--format", "json"]])
-    assert "cl3.series" in loaded
-    assert not loaded & {"cl3.spin", "cl3.remap", "dataclasses", "fractions"}
+    # tan and tanh take their coefficients from integers: no Fraction, no decimal.
+    for fn in ("sin", "tanh", "tan"):
+        _, loaded = _loaded([["compare", "--fn", fn, "--terms", "12", "--mv", _LITERAL, "--format", "json"]])
+        assert "cl3.series" in loaded
+        assert not loaded & {"cl3.spin", "cl3.remap", "dataclasses", "fractions", "decimal"}, fn
 
 
 _PUBLIC = """

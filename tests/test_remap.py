@@ -151,6 +151,17 @@ def test_even_multivector_validation():
         )
 
 
+def test_even_multivector_compares_by_value():
+    v = (1.0, 2.0, -0.5, 0.0, 3.0, 0.25, -1.0, 4.0)
+    x = EvenMultivector("cl13", v)
+    assert x == EvenMultivector("cl13", np.array(v)) and not x != EvenMultivector("cl13", list(v))
+    assert x != EvenMultivector("cl13", v[:7] + (4.5,))
+    assert x != EvenMultivector("cl31", v)
+    assert x != v and x != Multivector(Signature.CL30, v)
+    with pytest.raises(TypeError):
+        hash(x)
+
+
 _BAD_GENERATOR_IMAGES = (
     (("e1", "e2", "e3"), "square mismatch for e2"),  # e2^2 = -1 in CL12
     (("e1", "e23", "e12"), "do not anticommute"),  # e1 and e23 commute

@@ -1,5 +1,6 @@
 """Series coefficient families and the Horner evaluator."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -112,18 +113,45 @@ def test_last_term_delta_reporting():
     assert isinstance(value_only, Multivector)
 
 
+def _series_quotient(num, den):
+    """Exact coefficients of the power series num / den (den[0] != 0)."""
+    q = []
+    for p in range(len(num)):
+        q.append((num[p] - sum(q[j] * den[p - j] for j in range(p))) / den[0])
+    return q
+
+
+@functools.cache
+def _hyperbolic_quotients():
+    """tanh = sinh / cosh and sech = 1 / cosh up to x^(MAX_TABLE_ORDER + 1), exactly."""
+    top = MAX_TABLE_ORDER + 1
+    sinh = [Fraction(p % 2, math.factorial(p)) for p in range(top + 1)]
+    cosh = [Fraction(1 - p % 2, math.factorial(p)) for p in range(top + 1)]
+    one = [Fraction(int(p == 0)) for p in range(top + 1)]
+    return {"tanh": _series_quotient(sinh, cosh), "sech": _series_quotient(one, cosh)}
+
+
 def _exact_coefficient(family, p):
     """The x^p coefficient of ``family`` as an exact fraction."""
     trig = {"sin": "sinh", "cos": "cosh", "tan": "tanh", "sec": "sech"}
     hyper = trig.get(family.value, family.value)
-    if hyper == "tanh":
-        n = p + 1
-        c = Fraction(2 ** n * (2 ** n - 1)) * bernoulli_numbers(n)[n] / math.factorial(n)
-    elif hyper == "sech":
-        c = euler_numbers(p)[p] / math.factorial(p)
+    if hyper in ("tanh", "sech"):
+        c = _hyperbolic_quotients()[hyper][p]
     else:
         c = Fraction(1, math.factorial(p))
     return -c if hyper != family.value and p // 2 % 2 else c
+
+
+def test_bernoulli_and_euler_numbers_match_series_quotients():
+    # The tanh coefficient of x^(n-1) is 2^n (2^n - 1) B_n / n!, and the sech
+    # coefficient of x^p is E_p / p!.
+    q = _hyperbolic_quotients()
+    bern = bernoulli_numbers(MAX_TABLE_ORDER + 1)
+    assert bern[:2] == (1, Fraction(-1, 2))
+    for n in range(2, MAX_TABLE_ORDER + 2):
+        assert bern[n] == q["tanh"][n - 1] * math.factorial(n) / (2**n * (2**n - 1)), n
+    want = tuple(c * math.factorial(p) for p, c in enumerate(q["sech"][: MAX_TABLE_ORDER + 1]))
+    assert euler_numbers(MAX_TABLE_ORDER) == want
 
 
 def test_term_table_rounds_exact_fractions():

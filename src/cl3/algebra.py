@@ -331,6 +331,10 @@ class InvolutionKind(enum.Enum):
     GRADE_INVERSE = "grade-inverse"
     REVERSE_GRADE_INVERSE = "reverse-grade-inverse"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent and keeps dict lookups keyed by a kind cheap.
+    __hash__ = object.__hash__
+
 
 # Reverse multiplies grade g by (-1)^(g(g-1)/2), grade inverse by (-1)^g,
 # their composition by the product of the two.

@@ -7,8 +7,9 @@ integer division N_p / p!: N_p = 1, or ±A_p for tan, tanh, sec and sech,
 with A_p the zigzag numbers of sec x + tan x = Σ A_p x^p/p!.
 Evaluation splits x = c + y: c = a0 + a123·e123 is central and so is
 z = y².  Every power of x is then F + G·y with F, G in the center, and
-Horner runs on those four floats with ``_pair_product`` (inlined in the
-loop), nested in x² for the even/odd families.
+Horner runs on (F, G), nested in x² for the even/odd families: on complex
+numbers where e123² = -1 (e123 = i), and on (s, i) float pairs with
+``_pair_product`` (inlined in the loop) where e123² = +1.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class SeriesFamily(enum.Enum):
     TANH = "tanh"
     SEC_EULER = "sec"
     SECH_EULER = "sech"
+
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent and keeps dict lookups keyed by a family cheap.
+    __hash__ = object.__hash__
 
 
 _TABLE_FAMILIES = (
@@ -145,12 +150,13 @@ def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tupl
     return tuple(powers), tuple(coeffs)
 
 
-def _pair_product(a, b, z, k):
-    """(F + G·y)(P + Q·y) = (F·P + G·Q·z) + (F·Q + G·P)·y, each pair (F_s, F_i, G_s, G_i)."""
+def _pair_product(a, b, z):
+    """(F + G·y)(P + Q·y) = (F·P + G·Q·z) + (F·Q + G·P)·y on the split center
+    (e123² = +1), each pair (F_s, F_i, G_s, G_i)."""
     (fs, fi, gs, gi), (ps, pi, qs, qi) = a, b
-    ws, wi = qs * z[0] + k * qi * z[1], qs * z[1] + qi * z[0]
-    return (fs * ps + k * fi * pi + gs * ws + k * gi * wi, fs * pi + fi * ps + gs * wi + gi * ws,
-            fs * qs + k * fi * qi + gs * ps + k * gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
+    ws, wi = qs * z[0] + qi * z[1], qs * z[1] + qi * z[0]
+    return (fs * ps + fi * pi + gs * ws + gi * wi, fs * pi + fi * ps + gs * wi + gi * ws,
+            fs * qs + fi * qi + gs * ps + gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
 
 
 def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False):
@@ -163,33 +169,51 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     """
     powers, coeffs = _term_table(spec.family, spec.terms)
     t, sig = x.t, x.sig
-    k, cy = sig.i_square, _CENTER_Y[sig]
-    z, xp = _SQUARE_Y[sig](t, t), (t[0], t[7], 1.0, 0.0)
-    ps, pi, qs, qi = xp if spec.family is SeriesFamily.EXP else _pair_product(xp, xp, z, k)
-    # The step is _pair_product inlined; k = ±1 folds into constants exactly.
-    ws, wi = qs * z[0] + k * qi * z[1], qs * z[1] + qi * z[0]
-    kpi, kqi, kwi = k * pi, k * qi, k * wi
-    fs, fi, gs, gi = coeffs[-1], 0.0, 0.0, 0.0
-    for c in coeffs[-2::-1]:
-        fs, fi, gs, gi = (fs * ps + fi * kpi + gs * ws + gi * kwi + c, fs * pi + fi * ps + gs * wi + gi * ws,
-                          fs * qs + fi * kqi + gs * ps + gi * kpi, fs * qi + fi * qs + gs * pi + gi * ps)
-    if powers[0] == 1:
-        fs, fi, gs, gi = _pair_product((fs, fi, gs, gi), xp, z, k)
+    cy, odd = _CENTER_Y[sig], powers[0] == 1
+    # c_N·x^N as (r·x)^N with r = |c_N|^(1/N), by binary powering on pairs:
+    # it stays finite wherever c_N·x^N does, although x^N alone may not.
+    # For N >= 171 the float c_N = ±1/N! is subnormal or 0 (the tabulated
+    # families stop at order 60), so r comes from log N! there.
+    z, n, cn = _SQUARE_Y[sig](t, t), powers[-1] if return_last_term else 0, coeffs[-1]
+    r = math.exp(-math.lgamma(n + 1) / n) if n and abs(cn) < sys.float_info.min else abs(cn) ** (1.0 / max(n, 1))
+    if sig.i_square < 0:
+        # e123 = i: the center is the complex plane, and F, G, P, Q and z are complex numbers.
+        z, xc = complex(*z), complex(t[0], t[7])
+        p, q = (xc, 1.0) if spec.family is SeriesFamily.EXP else (xc * xc + z, 2.0 * xc)
+        f, g, w = cn, 0.0, q * z
+        for c in coeffs[-2::-1]:
+            f, g = f * p + g * w + c, f * q + g * p
+        if odd:
+            f, g = f * xc + g * z, f + g * xc
+        fs, fi, gs, gi = f.real, f.imag, g.real, g.imag
+        power, (u, v) = None, (r * xc, r)
+        while n:
+            if n & 1:
+                power = (u, v) if power is None else (power[0] * u + power[1] * (v * z), power[0] * v + power[1] * u)
+            n >>= 1
+            if n:
+                u, v = u * u + v * (v * z), 2.0 * u * v
+        power = power and (power[0].real, power[0].imag, power[1].real, power[1].imag)
+    else:
+        # e123² = +1: Horner on (s, i) float pairs, with _pair_product inlined.
+        xp = (t[0], t[7], 1.0, 0.0)
+        ps, pi, qs, qi = xp if spec.family is SeriesFamily.EXP else _pair_product(xp, xp, z)
+        ws, wi = qs * z[0] + qi * z[1], qs * z[1] + qi * z[0]
+        fs, fi, gs, gi = cn, 0.0, 0.0, 0.0
+        for c in coeffs[-2::-1]:
+            fs, fi, gs, gi = (fs * ps + fi * pi + gs * ws + gi * wi + c, fs * pi + fi * ps + gs * wi + gi * ws,
+                              fs * qs + fi * qi + gs * ps + gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
+        if odd:
+            fs, fi, gs, gi = _pair_product((fs, fi, gs, gi), xp, z)
+        power, b = None, (r * t[0], r * t[7], r, 0.0)
+        while n:
+            if n & 1:
+                power = b if power is None else _pair_product(power, b, z)
+            n >>= 1
+            if n:
+                b = _pair_product(b, b, z)
     value = Multivector(sig, (fs, *cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t), fi))
     if not return_last_term:
         return value
-    # c_N·x^N as (r·x)^N with r = |c_N|^(1/N), by binary powering on pairs:
-    # it stays finite wherever c_N·x^N does, although x^N alone may not.
-    n, c = powers[-1], coeffs[-1]
-    # For N >= 171 the float c_N = ±1/N! is subnormal or 0 (the tabulated
-    # families stop at order 60), so r comes from log N! there.
-    r = math.exp(-math.lgamma(n + 1) / n) if abs(c) < sys.float_info.min else abs(c) ** (1.0 / max(n, 1))
-    power, b = None, (r * t[0], r * t[7], r, 0.0)
-    while n:
-        if n & 1:
-            power = b if power is None else _pair_product(power, b, z, k)
-        n >>= 1
-        if n:
-            b = _pair_product(b, b, z, k)
-    fs, fi, gs, gi = power or (abs(c), 0.0, 0.0, 0.0)
+    fs, fi, gs, gi = power or (abs(cn), 0.0, 0.0, 0.0)
     return value, max(abs(fs), abs(fi), *map(abs, cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t)))

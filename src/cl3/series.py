@@ -3,8 +3,9 @@
 A series of order ``n`` keeps every term of degree at most ``n``, matching
 the subscript convention of the reference tables (the order-6 hyperbolic
 sine is A + A^3/3! + A^5/5!).  Each coefficient is one correctly rounded
-integer division N_p / p!: N_p = 1, or ±A_p for tan, tanh, sec and sech,
-with A_p the zigzag numbers of sec x + tan x = Σ A_p x^p/p!.
+integer division N_p / p!, with N_p = 1 or ±A_p, the zigzag numbers of
+sec x + tan x = Σ A_p x^p/p!.  ``_SHAPES`` is the one place the families are
+described: its row gives each one's powers, N_p, signs and Horner nesting.
 Evaluation splits x = c + y: c = a0 + a123·e123 is central and so is
 z = y².  Every power of x is then F + G·y with F, G in the center, and
 Horner runs on (F, G), nested in x² for the even/odd families: on complex
@@ -58,20 +59,15 @@ class SeriesFamily(enum.Enum):
     __hash__ = object.__hash__
 
 
-_TABLE_FAMILIES = (
-    SeriesFamily.TAN,
-    SeriesFamily.TANH,
-    SeriesFamily.SEC_EULER,
-    SeriesFamily.SECH_EULER,
-)
-
-
 class SeriesSpec(NamedTuple("SeriesSpec", [("family", SeriesFamily), ("terms", int)])):
     """Family plus series order (highest power of the argument retained)."""
 
     __slots__ = ()
 
     def __new__(cls, family: SeriesFamily, terms: int):
+        if not isinstance(family, SeriesFamily):
+            names = ", ".join(f.name for f in SeriesFamily)
+            raise ValueError(f"series family must be a SeriesFamily member ({names}), got {family!r}")
         if terms < 1:
             raise ValueError(f"series order must be at least 1, got {terms}")
         return super().__new__(cls, family, terms)
@@ -110,42 +106,38 @@ def euler_numbers(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((-1) ** (m // 2) * a[m] if m % 2 == 0 else 0) for m in range(n + 1))
 
 
-# sin(x) = -i sinh(ix), cos(x) = cosh(ix), tan(x) = -i tanh(ix) and
-# sec(x) = sech(ix): the x^p term of each trigonometric series is the
-# hyperbolic one times (-1)^(p // 2).
-_HYPERBOLIC_OF = {
-    SeriesFamily.SIN: SeriesFamily.SINH,
-    SeriesFamily.COS: SeriesFamily.COSH,
-    SeriesFamily.TAN: SeriesFamily.TANH,
-    SeriesFamily.SEC_EULER: SeriesFamily.SECH_EULER,
+# Per family: first power, power step, N_p = A_p (else 1), and the sign
+# (-1)^(p // 2) on x^p.  sin(x) = -i sinh(ix), cos(x) = cosh(ix), tan(x) =
+# -i tanh(ix) and sec(x) = sech(ix) toggle that sign on each hyperbolic row.
+_SHAPES = {
+    SeriesFamily.EXP: (0, 1, False, False),
+    SeriesFamily.SINH: (1, 2, False, False),
+    SeriesFamily.COSH: (0, 2, False, False),
+    SeriesFamily.SIN: (1, 2, False, True),
+    SeriesFamily.COS: (0, 2, False, True),
+    SeriesFamily.TANH: (1, 2, True, True),
+    SeriesFamily.SECH_EULER: (0, 2, True, True),
+    SeriesFamily.TAN: (1, 2, True, False),
+    SeriesFamily.SEC_EULER: (0, 2, True, False),
 }
 
 
 @lru_cache(maxsize=None)
 def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Powers and float coefficients of all series terms of degree <= order."""
-    hyper = _HYPERBOLIC_OF.get(family, family)
-    if hyper is SeriesFamily.EXP:
-        powers = range(order + 1)
-    elif hyper in (SeriesFamily.SINH, SeriesFamily.TANH):
-        powers = range(1, order + 1, 2)
-    else:  # COSH / SECH_EULER
-        powers = range(0, order + 1, 2)
-    # N_p = (-1)^(p // 2)·A_p for tanh and sech; the trig flip makes it +A_p for tan and sec.
-    if family in _TABLE_FAMILIES:
-        if order > MAX_TABLE_ORDER:
-            raise SeriesOrderError(
-                f"{family.value} coefficients are tabulated up to order {MAX_TABLE_ORDER}, got {order}"
-            )
-        a = _zigzag(order)
-        nums = [-a[p] if p // 2 % 2 else a[p] for p in powers]
-    else:
-        nums = repeat(1)
+    first, step, zigzag, alternate = _SHAPES[family]
+    powers = range(first, order + 1, step)
+    if zigzag and order > MAX_TABLE_ORDER:
+        raise SeriesOrderError(
+            f"{family.value} coefficients are tabulated up to order {MAX_TABLE_ORDER}, got {order}"
+        )
+    nums = map(_zigzag(order).__getitem__, powers) if zigzag else repeat(1)
     # Integer true division rounds correctly: N_p / p! is float(Fraction(N_p, p!)).
     # 1 / p! rounds to 0.0 from p = 178 on, so the factorials stop at the first zero.
     coeffs = list(takewhile(bool, (n / math.factorial(p) for n, p in zip(nums, powers))))
     coeffs += [0.0] * (len(powers) - len(coeffs))
-    if hyper is not family:
+    # Signs go on after the (symmetric) rounding, so alternating zero padding is -0.0.
+    if alternate:
         coeffs = [-c if p // 2 % 2 else c for p, c in zip(powers, coeffs)]
     return tuple(powers), tuple(coeffs)
 
@@ -168,8 +160,8 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     y² and each G·y take a product kernel, whatever the order.
     """
     powers, coeffs = _term_table(spec.family, spec.terms)
-    t, sig = x.t, x.sig
-    cy, odd = _CENTER_Y[sig], powers[0] == 1
+    first, step = _SHAPES[spec.family][:2]
+    t, sig, cy = x.t, x.sig, _CENTER_Y[x.sig]
     # c_N·x^N as (r·x)^N with r = |c_N|^(1/N), by binary powering on pairs:
     # it stays finite wherever c_N·x^N does, although x^N alone may not.
     # For N >= 171 the float c_N = ±1/N! is subnormal or 0 (the tabulated
@@ -179,11 +171,11 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     if sig.i_square < 0:
         # e123 = i: the center is the complex plane, and F, G, P, Q and z are complex numbers.
         z, xc = complex(*z), complex(t[0], t[7])
-        p, q = (xc, 1.0) if spec.family is SeriesFamily.EXP else (xc * xc + z, 2.0 * xc)
+        p, q = (xc, 1.0) if step == 1 else (xc * xc + z, 2.0 * xc)
         f, g, w = cn, 0.0, q * z
         for c in coeffs[-2::-1]:
             f, g = f * p + g * w + c, f * q + g * p
-        if odd:
+        if first:
             f, g = f * xc + g * z, f + g * xc
         fs, fi, gs, gi = f.real, f.imag, g.real, g.imag
         power, (u, v) = None, (r * xc, r)
@@ -197,13 +189,13 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     else:
         # e123² = +1: Horner on (s, i) float pairs, with _pair_product inlined.
         xp = (t[0], t[7], 1.0, 0.0)
-        ps, pi, qs, qi = xp if spec.family is SeriesFamily.EXP else _pair_product(xp, xp, z)
+        ps, pi, qs, qi = xp if step == 1 else _pair_product(xp, xp, z)
         ws, wi = qs * z[0] + qi * z[1], qs * z[1] + qi * z[0]
         fs, fi, gs, gi = cn, 0.0, 0.0, 0.0
         for c in coeffs[-2::-1]:
             fs, fi, gs, gi = (fs * ps + fi * pi + gs * ws + gi * wi + c, fs * pi + fi * ps + gs * wi + gi * ws,
                               fs * qs + fi * qi + gs * ps + gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
-        if odd:
+        if first:
             fs, fi, gs, gi = _pair_product((fs, fi, gs, gi), xp, z)
         power, b = None, (r * t[0], r * t[7], r, 0.0)
         while n:

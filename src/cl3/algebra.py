@@ -207,6 +207,15 @@ class Multivector:
         self.t = coeffs
         self._c = None
 
+    @classmethod
+    def _of(cls, sig: Signature, t: tuple) -> "Multivector":
+        """An internal result whose ``t`` is already eight floats: no conversion, the same finiteness check."""
+        if not all(map(math.isfinite, t)):
+            raise NonFiniteError("multivector coefficients must be finite")
+        x = object.__new__(cls)
+        x.sig, x.t, x._c = sig, t, None
+        return x
+
     @property
     def c(self) -> np.ndarray:
         c = self._c
@@ -236,16 +245,11 @@ class Multivector:
     def reverse(self) -> "Multivector":
         return involute(self, InvolutionKind.REVERSE)
 
-    def _check_sig(self, other: "Multivector") -> None:
-        if self.sig is not other.sig:
-            raise SignatureMismatchError(
-                f"cannot combine {self.sig.name} and {other.sig.name} multivectors"
-            )
-
     def __add__(self, other):
         if isinstance(other, Multivector):
-            self._check_sig(other)
-            return Multivector(self.sig, tuple(map(operator.add, self.t, other.t)))
+            if self.sig is not other.sig:
+                raise SignatureMismatchError(f"cannot combine {self.sig.name} and {other.sig.name} multivectors")
+            return Multivector._of(self.sig, tuple(map(operator.add, self.t, other.t)))
         if isinstance(other, (int, float)):
             return Multivector(self.sig, (self.t[0] + other,) + self.t[1:])
         return NotImplemented
@@ -259,7 +263,7 @@ class Multivector:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Multivector(self.sig, tuple(map(operator.neg, self.t)))
+        return Multivector._of(self.sig, tuple(map(operator.neg, self.t)))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -323,7 +327,7 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
         raise SignatureMismatchError(
             f"cannot multiply {x.sig.name} by {y.sig.name} multivector"
         )
-    return Multivector(x.sig, _PRODUCTS[x.sig](x.t, y.t))
+    return Multivector._of(x.sig, _PRODUCTS[x.sig](x.t, y.t))
 
 
 class InvolutionKind(enum.Enum):
@@ -349,14 +353,14 @@ _INVOLUTION_SIGNS = {
 
 def involute(x: Multivector, kind: InvolutionKind) -> Multivector:
     """Apply one of the three grade-sign involutions."""
-    return Multivector(x.sig, tuple(map(operator.mul, _INVOLUTION_SIGNS[kind], x.t)))
+    return Multivector._of(x.sig, tuple(map(operator.mul, _INVOLUTION_SIGNS[kind], x.t)))
 
 
 def grade_select(x: Multivector, g: int) -> Multivector:
     """Zero every coefficient whose blade is not of grade ``g``."""
     if g not in (0, 1, 2, 3):
         raise ValueError(f"grade must be in 0..3, got {g}")
-    return Multivector(x.sig, tuple([v if k == g else 0.0 for k, v in zip(BLADE_GRADES, x.t)]))
+    return Multivector._of(x.sig, tuple([v if k == g else 0.0 for k, v in zip(BLADE_GRADES, x.t)]))
 
 
 def _center_norm(x: Multivector) -> tuple[float, float, float]:
@@ -388,7 +392,7 @@ def _adjugate_with_det(x: Multivector) -> tuple[Multivector, float]:
     cs, ci = _center_mul((t[0], t[7]), (ns, -ni), sig.i_square)
     adj = (cs, *_CENTER_Y[sig]((-ns, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ni), t), ci)
     try:
-        return Multivector(sig, adj), det
+        return Multivector._of(sig, adj), det
     except NonFiniteError:
         raise NonFiniteError(f"determinant of {x!r} overflows double precision") from None
 
@@ -422,7 +426,7 @@ def inverse(x: Multivector) -> InverseResult:
     k, adj_k, det_k = 0, adj, det
     if 0.0 < total < _TINY_SUM:
         k = -math.frexp(total)[1]
-        adj_k, det_k = _adjugate_with_det(Multivector(x.sig, tuple([math.ldexp(v, k) for v in x.t])))
+        adj_k, det_k = _adjugate_with_det(Multivector._of(x.sig, tuple([math.ldexp(v, k) for v in x.t])))
     det_root, root = math.ldexp(abs(det_k) ** 0.25, -k), _SINGULAR_ROOT * total
     if det_root <= root:
         raise NonInvertibleError(
@@ -431,10 +435,10 @@ def inverse(x: Multivector) -> InverseResult:
             adjugate=adj,
             determinant=det,
         )
-    inv = adj_k * (1.0 / det_k)
+    inv = Multivector._of(x.sig, tuple(map((1.0 / det_k).__mul__, adj_k.t)))
     if k:
         try:
-            inv = Multivector(x.sig, tuple([math.ldexp(v, k) for v in inv.t]))
+            inv = Multivector._of(x.sig, tuple([math.ldexp(v, k) for v in inv.t]))
         except OverflowError:
             raise NonFiniteError(f"inverse of {x!r} overflows double precision") from None
     return InverseResult(adj, det, inv)

@@ -111,6 +111,8 @@ def parse_mv(text: str, sig: Signature = Signature.CL30) -> Multivector:
         if divisor.strip():
             try:
                 scale = float(divisor)
+                if not abs(scale) <= sys.float_info.max:  # inf would scale to 0, nan to nan
+                    raise ValueError(divisor)
                 coeffs = [v / scale for v in coeffs]
             except (ValueError, ZeroDivisionError):
                 raise MVParseError(f"bad scale divisor {divisor.strip()!r}") from None
@@ -277,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spin.add_argument("--T", dest="T", type=float, required=True)
     p_spin.add_argument("--sigma", type=int, required=True, choices=[-1, 1])
     p_spin.add_argument("--samples", type=int, default=5000)
-    p_spin.add_argument("--method", default="closed", choices=["closed", "stepped"])
+    p_spin.add_argument("--method", default="closed", choices=["closed", "stepped"], help=(
+        "closed (the default): the constant-field Rabi law at each sample's b0, a resonance curve, "
+        "not a solution of the ramp; stepped: a first-order solver of the ramp ODE, b0 held at each step's left end"))
     p_spin.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p_spin.set_defaults(run=_cmd_spin)
     return parser

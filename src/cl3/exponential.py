@@ -187,16 +187,16 @@ def _center_body(sig: Signature, name: str, k: float, on_complex, on_half) -> Ca
                 p1, p2, p3, m1, m2, m3, zp, zm = _halves(t, s1, s2, s3)
                 cp, cm = pp * _co(k * zp), pm * _co(k * zm)
                 sp, sm = qp * _si(k * zp), qm * _si(k * zm)
-                return Multivector(sig, (cp + cm, sp * p1 + sm * m1, sp * p2 + sm * m2, sp * p3 + sm * m3,
-                                         s3 * (sp * p3 - sm * m3), -s2 * (sp * p2 - sm * m2),
-                                         s1 * (sp * p1 - sm * m1), cp - cm))
+                return Multivector._of(sig, (cp + cm, sp * p1 + sm * m1, sp * p2 + sm * m2, sp * p3 + sm * m3,
+                                             s3 * (sp * p3 - sm * m3), -s2 * (sp * p2 - sm * m2),
+                                             s1 * (sp * p1 - sm * m1), cp - cm))
             p, q = on_complex(complex(t[0], t[7]))
             zs, zi = _SQUARE_Y[sig](t, t)
             z = complex(k * zs, k * zi)
             c, s = p * _co(z), q * _si(z)
             # s * y has no scalar or pseudoscalar part; P * C fills those two slots.
             sy = _CENTER_Y[sig]((s.real, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s.imag), t)
-            return Multivector(sig, (c.real, *sy, c.imag))
+            return Multivector._of(sig, (c.real, *sy, c.imag))
         except (OverflowError, ValueError):
             # A product that overflowed quietly (NonFiniteError) and math.sin(inf) are ValueErrors.
             raise NonFiniteError(f"{name} of {x!r} overflows double precision") from None
@@ -233,7 +233,7 @@ def _directional_exp(x: Multivector, idx: slice, square: float) -> Multivector:
     out = [_co(square)] + [0.0] * 7
     ratio = _si(square)
     out[idx] = [ratio * v for v in x.t[idx]]
-    return Multivector(x.sig, tuple(out))
+    return Multivector._of(x.sig, tuple(out))
 
 
 def exp_particular(x: Multivector) -> Multivector:
@@ -259,7 +259,7 @@ def exp_particular(x: Multivector) -> Multivector:
                 half = _half_exp(*_two_sum(a0, abs(a123)))
                 d = -math.expm1(-2.0 * abs(a123))
                 c, s = half * (2.0 - d), math.copysign(half * d, a123)
-            return Multivector(x.sig, (c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s))
+            return Multivector._of(x.sig, (c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s))
 
         if present == {1}:
             square = s1 * a1 * a1 + s2 * a2 * a2 + s3 * a3 * a3

@@ -43,7 +43,7 @@ def ratio_exact(x: Multivector, which: str) -> Multivector:
         den_inv = inverse(den).inverse
     except NonFiniteError:  # det(den) overflows: retry once on num, den times 2^k (sum |den_i| < 1)
         k = -math.frexp(sum(map(abs, den.t)))[1]
-        num, den = (Multivector(x.sig, tuple([math.ldexp(v, k) for v in y.t])) for y in (num, den))
+        num, den = (Multivector._of(x.sig, tuple([math.ldexp(v, k) for v in y.t])) for y in (num, den))
         den_inv = inverse(den).inverse
     return geometric_product(num, den_inv)
 
@@ -58,8 +58,8 @@ def normalize(x: Multivector, policy="ceil") -> tuple[Multivector, float]:
     """
     if isinstance(policy, (int, float)) and not isinstance(policy, bool):
         scale = float(policy)
-        if scale <= 0.0:
-            raise ValueError(f"scale factor must be positive, got {policy}")
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {policy}")
     elif policy == "ceil":
         scale = float(max(1, math.ceil(det_norm(x))))
     elif policy == "exact":

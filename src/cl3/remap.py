@@ -172,11 +172,11 @@ def basis_remap(x, table: RemapTable):
     dst_sig = _SIG_BY_NAME[table.dst]
     if isinstance(x, Multivector):
         if table.src in _SIG_BY_NAME and x.sig is _SIG_BY_NAME[table.src]:
-            return Multivector(dst_sig, table.forward(x.t))
+            return Multivector._of(dst_sig, table.forward(x.t))
         if x.sig is dst_sig:
             if table.src in _SIG_BY_NAME:
-                return Multivector(_SIG_BY_NAME[table.src], table.backward(x.t))
+                return Multivector._of(_SIG_BY_NAME[table.src], table.backward(x.t))
             return EvenMultivector(table.src, table.backward(x.t))
     elif isinstance(x, EvenMultivector) and x.algebra == table.src:
-        return Multivector(dst_sig, table.forward(x.c.tolist()))
+        return Multivector._of(dst_sig, table.forward(x.c.tolist()))
     raise ValueError(f"input does not belong to either side of table {table.name!r}")

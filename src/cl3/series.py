@@ -204,7 +204,7 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
             n >>= 1
             if n:
                 b = _pair_product(b, b, z)
-    value = Multivector(sig, (fs, *cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t), fi))
+    value = Multivector._of(sig, (fs, *cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t), fi))
     if not return_last_term:
         return value
     fs, fi, gs, gi = power or (abs(cn), 0.0, 0.0, 0.0)

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _SIG = Signature.CL30
+_E13, _E12 = blade(_SIG, "e13"), blade(_SIG, "e12")
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,8 @@ def down_probability(cfg: FieldConfig, t: float) -> float:
 def _project_down(psi: Multivector) -> float:
     """P = psi_down * reverse(psi_down) with psi_down read off by grade
     projection onto the down eigenstate e13."""
-    e13 = blade(_SIG, "e13")
-    e12 = blade(_SIG, "e12")
-    s = grade_select(geometric_product(e13, psi), 0).t[0]
-    c = grade_select(geometric_product(geometric_product(e13, psi), e12), 0).t[0]
+    s = grade_select(geometric_product(_E13, psi), 0).t[0]
+    c = grade_select(geometric_product(geometric_product(_E13, psi), _E12), 0).t[0]
     return s * s + c * c
 
 

@@ -12,7 +12,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # cli_process runs one whole cycle of eval/compare processes (about 6 s); its check
 # compares the CLI's JSON for comma- and term-form literals with the library's result.
-@pytest.mark.parametrize("workload", ["series_compare", "cli_process"])
+# scalar_mix (about 3 s) checks the closed forms, the inverse and the remap against the
+# float reference and the 50-digit oracle; spin_sweep (about 5 s) checks that both sweep
+# methods repeat bit for bit and the stepped one against the 50-digit oracle.
+@pytest.mark.parametrize("workload", ["series_compare", "scalar_mix", "spin_sweep", "cli_process"])
 def test_workload_run_passes_and_reports_the_declared_metrics(workload):
     argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
             "--seed", "1", "--seconds", "0.2", "--trace", "0"]

@@ -83,6 +83,15 @@ def test_parse_error_columns():
         assert exc.value.column == column, text
 
 
+def test_parse_rejects_a_non_finite_divisor(capsys):
+    # Dividing by inf would zero every coefficient, and dividing by nan would make each one nan.
+    for divisor in ("inf", "-inf", "nan", "Infinity", "0", "x"):
+        with pytest.raises(MVParseError, match=f"bad scale divisor '{divisor}'"):
+            parse_mv(f"1,2,3,4,5,6,7,8 / {divisor}", CL30)
+    code, out, err = _run(capsys, ["eval", "--fn", "exp", "--mv", "1,2,3,4,5,6,7,8 / inf", "--format", "json"])
+    assert code == 1 and out == "" and "bad scale divisor 'inf'" in err
+
+
 def test_render_examples():
     mv = Multivector(CL30, [0.5, 0, 0, -1.25, 0, 0, 0, 2])
     assert render_mv(mv) == "0.5 - 1.25*e3 + 2*e123"

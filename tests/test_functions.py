@@ -345,8 +345,9 @@ def test_normalize_exact_and_factor(rng):
     scaled, scale = normalize(x, 4.0)
     assert scale == 4.0
     assert scaled == x * 0.25
-    with pytest.raises(ValueError):
-        normalize(x, -2.0)
+    for policy in (-2.0, 0, 0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"scale factor must be positive and finite, got {policy}"):
+            normalize(x, policy)
     with pytest.raises(ValueError):
         normalize(x, "nearest")
 

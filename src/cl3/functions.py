@@ -54,9 +54,9 @@ def normalize(x: Multivector, policy="ceil") -> tuple[Multivector, float]:
     ``policy`` is ``"ceil"`` (divide by the determinant norm rounded up to
     an integer, never below 1), ``"exact"`` (divide by the norm itself), or
     a positive number used as the divisor directly.  Returns the rescaled
-    multivector and the scale used.
+    multivector, ``x`` itself when the scale is 1, and the scale used.
     """
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
+    if isinstance(policy, float) or hasattr(policy, "__index__") and not isinstance(policy, bool):  # numpy ints too
         scale = float(policy)
         if not 0.0 < scale < math.inf:
             raise ValueError(f"scale factor must be positive and finite, got {policy}")
@@ -68,4 +68,5 @@ def normalize(x: Multivector, policy="ceil") -> tuple[Multivector, float]:
             raise NormUndefinedError("zero determinant; exact normalization undefined")
     else:
         raise ValueError(f"policy must be 'ceil', 'exact' or a number, got {policy!r}")
-    return x / scale, scale
+    # v / 1.0 is v, -0.0 included, so scale 1 returns x itself.
+    return x if scale == 1.0 else Multivector._of(x.sig, tuple([v / scale for v in x.t])), scale

@@ -8,9 +8,10 @@ sec x + tan x = Σ A_p x^p/p!.  ``_SHAPES`` is the one place the families are
 described: its row gives each one's powers, N_p, signs and Horner nesting.
 Evaluation splits x = c + y: c = a0 + a123·e123 is central and so is
 z = y².  Every power of x is then F + G·y with F, G in the center, and
-Horner runs on (F, G), nested in x² for the even/odd families: on complex
-numbers where e123² = -1 (e123 = i), and on (s, i) float pairs with
-``_pair_product`` (inlined in the loop) where e123² = +1.
+Horner runs on (F, G), nested in x² for the even/odd families, on complex
+numbers where e123² = -1 (e123 = i) and on (s, i) float pairs where e123² = +1,
+with ``_pair_product`` written out in the loop and in the last-term powering.
+``_row`` caches, per family and order, the constants ``series_eval`` reads.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ class SeriesSpec(NamedTuple("SeriesSpec", [("family", SeriesFamily), ("terms", i
         if not isinstance(family, SeriesFamily):
             names = ", ".join(f.name for f in SeriesFamily)
             raise ValueError(f"series family must be a SeriesFamily member ({names}), got {family!r}")
-        if terms < 1:
+        from operator import index
+        if isinstance(terms, bool):
+            raise ValueError(f"series order must be an integer, got {terms!r}")
+        if (terms := index(terms)) < 1:  # a Python int from here: one row-cache key per order
             raise ValueError(f"series order must be at least 1, got {terms}")
         return super().__new__(cls, family, terms)
 
@@ -122,7 +126,6 @@ _SHAPES = {
 }
 
 
-@lru_cache(maxsize=None)
 def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Powers and float coefficients of all series terms of degree <= order."""
     first, step, zigzag, alternate = _SHAPES[family]
@@ -151,6 +154,17 @@ def _pair_product(a, b, z):
             fs * qs + fi * qi + gs * ps + gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
 
 
+@lru_cache(maxsize=None)
+def _row(family: SeriesFamily, order: int) -> tuple:
+    """The Horner tail c_(N-step)..c_first, c_N, N, first power, step and r = |c_N|^(1/N) of one
+    series: c_N·x^N is powered as (r·x)^N, finite wherever c_N·x^N is, though x^N may not be."""
+    powers, coeffs = _term_table(family, order)
+    n, cn = powers[-1], coeffs[-1]
+    # The float c_N = ±1/N! is subnormal or 0 for N >= 171 (beyond the tables): r from log N! there.
+    r = math.exp(-math.lgamma(n + 1) / n) if n and abs(cn) < sys.float_info.min else abs(cn) ** (1.0 / max(n, 1))
+    return coeffs[-2::-1], cn, n, *_SHAPES[family][:2], r
+
+
 def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False):
     """Evaluate a truncated function series of ``x``.
 
@@ -159,22 +173,19 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     term c_N·x^N: a divergence indicator the caller can surface.  Only
     y² and each G·y take a product kernel, whatever the order.
     """
-    powers, coeffs = _term_table(spec.family, spec.terms)
-    first, step = _SHAPES[spec.family][:2]
+    tail, cn, n, first, step, r = _row(spec.family, spec.terms)
     t, sig, cy = x.t, x.sig, _CENTER_Y[x.sig]
-    # c_N·x^N as (r·x)^N with r = |c_N|^(1/N), by binary powering on pairs:
-    # it stays finite wherever c_N·x^N does, although x^N alone may not.
-    # For N >= 171 the float c_N = ±1/N! is subnormal or 0 (the tabulated
-    # families stop at order 60), so r comes from log N! there.
-    z, n, cn = _SQUARE_Y[sig](t, t), powers[-1] if return_last_term else 0, coeffs[-1]
-    r = math.exp(-math.lgamma(n + 1) / n) if n and abs(cn) < sys.float_info.min else abs(cn) ** (1.0 / max(n, 1))
+    z, n = _SQUARE_Y[sig](t, t), n if return_last_term else 0
     if sig.i_square < 0:
         # e123 = i: the center is the complex plane, and F, G, P, Q and z are complex numbers.
-        z, xc = complex(*z), complex(t[0], t[7])
-        p, q = (xc, 1.0) if step == 1 else (xc * xc + z, 2.0 * xc)
-        f, g, w = cn, 0.0, q * z
-        for c in coeffs[-2::-1]:
-            f, g = f * p + g * w + c, f * q + g * p
+        z, xc, f, g = complex(*z), complex(t[0], t[7]), cn, 0.0
+        if step == 1:  # P = x, Q = 1
+            for c in tail:
+                f, g = f * xc + g * z + c, f + g * xc
+        else:
+            p, q, w = xc * xc + z, 2.0 * xc, 2.0 * xc * z
+            for c in tail:
+                f, g = f * p + g * w + c, f * q + g * p
         if first:
             f, g = f * xc + g * z, f + g * xc
         fs, fi, gs, gi = f.real, f.imag, g.real, g.imag
@@ -187,23 +198,31 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
                 u, v = u * u + v * (v * z), 2.0 * u * v
         power = power and (power[0].real, power[0].imag, power[1].real, power[1].imag)
     else:
-        # e123² = +1: Horner on (s, i) float pairs, with _pair_product inlined.
-        xp = (t[0], t[7], 1.0, 0.0)
+        # e123² = +1: Horner and the last-term power on (s, i) float pairs, with _pair_product written out.
+        xp, (z0, z1), fs, fi, gs, gi = (t[0], t[7], 1.0, 0.0), z, cn, 0.0, 0.0, 0.0
         ps, pi, qs, qi = xp if step == 1 else _pair_product(xp, xp, z)
-        ws, wi = qs * z[0] + qi * z[1], qs * z[1] + qi * z[0]
-        fs, fi, gs, gi = cn, 0.0, 0.0, 0.0
-        for c in coeffs[-2::-1]:
-            fs, fi, gs, gi = (fs * ps + fi * pi + gs * ws + gi * wi + c, fs * pi + fi * ps + gs * wi + gi * ws,
-                              fs * qs + fi * qi + gs * ps + gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
+        if step == 1:  # P = x, Q = 1
+            for c in tail:
+                fs, fi, gs, gi = (fs * ps + fi * pi + gs * z0 + gi * z1 + c, fs * pi + fi * ps + gs * z1 + gi * z0,
+                                  fs + gs * ps + gi * pi, fi + gs * pi + gi * ps)
+        else:
+            ws, wi = qs * z0 + qi * z1, qs * z1 + qi * z0
+            for c in tail:
+                fs, fi, gs, gi = (fs * ps + fi * pi + gs * ws + gi * wi + c, fs * pi + fi * ps + gs * wi + gi * ws,
+                                  fs * qs + fi * qi + gs * ps + gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
         if first:
             fs, fi, gs, gi = _pair_product((fs, fi, gs, gi), xp, z)
-        power, b = None, (r * t[0], r * t[7], r, 0.0)
+        power, (ps, pi, qs, qi) = None, (r * t[0], r * t[7], r, 0.0)
         while n:
+            ws, wi = qs * z0 + qi * z1, qs * z1 + qi * z0
             if n & 1:
-                power = b if power is None else _pair_product(power, b, z)
+                a, b, c, d = power = (ps, pi, qs, qi) if power is None else (
+                    a * ps + b * pi + c * ws + d * wi, a * pi + b * ps + c * wi + d * ws,
+                    a * qs + b * qi + c * ps + d * pi, a * qi + b * qs + c * pi + d * ps)
             n >>= 1
             if n:
-                b = _pair_product(b, b, z)
+                ps, pi, qs, qi = (ps * ps + pi * pi + qs * ws + qi * wi, ps * pi + pi * ps + qs * wi + qi * ws,
+                                  ps * qs + pi * qi + qs * ps + qi * pi, ps * qi + pi * qs + qs * pi + qi * ps)
     value = Multivector._of(sig, (fs, *cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t), fi))
     if not return_last_term:
         return value

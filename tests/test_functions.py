@@ -334,7 +334,7 @@ def test_normalize_small_norm_is_identity():
     x = Multivector(Signature.CL30, np.array(REF_COEFFS) * 0.01)
     scaled, scale = normalize(x, "ceil")
     assert scale == 1.0
-    assert scaled == x
+    assert scaled is x
 
 
 def test_normalize_exact_and_factor(rng):
@@ -342,14 +342,16 @@ def test_normalize_exact_and_factor(rng):
     scaled, scale = normalize(x, "exact")
     assert abs(scale - 71129.0 ** 0.25) < 1e-10
     assert abs(determinant(scaled) - 1.0) < 1e-10
-    scaled, scale = normalize(x, 4.0)
-    assert scale == 4.0
-    assert scaled == x * 0.25
-    for policy in (-2.0, 0, 0.0, math.inf, -math.inf, math.nan):
+    for policy in (4.0, 4, np.int64(4), np.float64(4.0)):
+        scaled, scale = normalize(x, policy)
+        assert type(scale) is float and scale == 4.0
+        assert scaled == x * 0.25
+    for policy in (-2.0, 0, 0.0, math.inf, -math.inf, math.nan, np.int64(-3)):
         with pytest.raises(ValueError, match=f"scale factor must be positive and finite, got {policy}"):
             normalize(x, policy)
-    with pytest.raises(ValueError):
-        normalize(x, "nearest")
+    for policy in ("nearest", "4", True, False):
+        with pytest.raises(ValueError, match="policy must be 'ceil', 'exact' or a number"):
+            normalize(x, policy)
 
 
 def test_normalize_determinant_shrinks(rng):

@@ -24,6 +24,7 @@ from cl3 import (
     hyperbolic_exact,
     inverse,
     involute,
+    normalize,
     ratio_exact,
     trig_exact,
 )
@@ -80,6 +81,8 @@ def test_functions_return_floats(sig, rng):
         assert_floats(ratio_exact(x, which))
     # det(cosh x) overflows here, so tanh retries on the rows scaled by 2^k.
     assert_floats(ratio_exact(Multivector(sig, (400.0, 0.1, 0, 0, 0, 0, 0, 0)), "tanh"))
+    for policy in (3, 2.5, np.int64(3), np.float64(0.5)):
+        assert_floats(normalize(x, policy)[0])
     for part in ((0, 7), (1, 2, 3), (4, 5, 6)):
         c = [0.0] * 8
         for i in part:

@@ -105,6 +105,22 @@ def test_order_must_be_positive():
             SeriesSpec(SeriesFamily.EXP, bad)
 
 
+def test_order_must_be_an_integer():
+    # The row cache is keyed by (family, order), and 20.0 == 20: a float order
+    # must fail at construction whether or not order 20 is cached.
+    x = Multivector(Signature.CL30, (0.1, 0.2, -0.3, 0.1, 0.2, 0.1, -0.2, 0.3))
+    series_eval(x, SeriesSpec(SeriesFamily.EXP, 20))
+    for bad in (20.0, 2.5):
+        with pytest.raises(TypeError):
+            SeriesSpec(SeriesFamily.EXP, bad)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"series order must be an integer, got {bad}"):
+            SeriesSpec(SeriesFamily.EXP, bad)
+    spec = SeriesSpec(SeriesFamily.EXP, np.int64(20))
+    assert type(spec.terms) is int and spec == (SeriesFamily.EXP, 20)
+    assert series_eval(x, spec) == series_eval(x, SeriesSpec(SeriesFamily.EXP, 20))
+
+
 def test_family_must_be_a_member():
     for bad in ("tan", "exp", "sinh"):
         with pytest.raises(ValueError, match=r"series family must be a SeriesFamily member \(EXP, SIN, .*SECH_EULER\)"):
@@ -184,9 +200,9 @@ def test_long_term_table_stops_forming_factorials(monkeypatch):
     monkeypatch.setattr(math, "factorial", lambda p: calls.append(p) or factorial(p))
     for family in (SeriesFamily.EXP, SeriesFamily.SIN, SeriesFamily.COS, SeriesFamily.SINH, SeriesFamily.COSH):
         calls.clear()
-        powers, coeffs = _term_table.__wrapped__(family, 2000)
+        powers, coeffs = _term_table(family, 2000)
         assert len(calls) <= 180, family
-        short_powers, short = _term_table.__wrapped__(family, 200)
+        short_powers, short = _term_table(family, 200)
         assert powers[:len(short_powers)] == short_powers
         assert coeffs == short + (0.0,) * (len(powers) - len(short)), family
 

@@ -10,7 +10,7 @@ Evaluation splits x = c + y: c = a0 + a123·e123 is central and so is
 z = y².  Every power of x is then F + G·y with F, G in the center, and
 Horner runs on (F, G), nested in x² for the even/odd families, on complex
 numbers where e123² = -1 (e123 = i) and on (s, i) float pairs where e123² = +1,
-with ``_pair_product`` written out in the loop and in the last-term powering.
+with each pair product written out in the loop, the finish and the last-term powering.
 ``_row`` caches, per family and order, the constants ``series_eval`` reads.
 """
 
@@ -145,15 +145,6 @@ def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tupl
     return tuple(powers), tuple(coeffs)
 
 
-def _pair_product(a, b, z):
-    """(F + G·y)(P + Q·y) = (F·P + G·Q·z) + (F·Q + G·P)·y on the split center
-    (e123² = +1), each pair (F_s, F_i, G_s, G_i)."""
-    (fs, fi, gs, gi), (ps, pi, qs, qi) = a, b
-    ws, wi = qs * z[0] + qi * z[1], qs * z[1] + qi * z[0]
-    return (fs * ps + fi * pi + gs * ws + gi * wi, fs * pi + fi * ps + gs * wi + gi * ws,
-            fs * qs + fi * qi + gs * ps + gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
-
-
 @lru_cache(maxsize=None)
 def _row(family: SeriesFamily, order: int) -> tuple:
     """The Horner tail c_(N-step)..c_first, c_N, N, first power, step and r = |c_N|^(1/N) of one
@@ -198,21 +189,22 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
                 u, v = u * u + v * (v * z), 2.0 * u * v
         power = power and (power[0].real, power[0].imag, power[1].real, power[1].imag)
     else:
-        # e123² = +1: Horner and the last-term power on (s, i) float pairs, with _pair_product written out.
-        xp, (z0, z1), fs, fi, gs, gi = (t[0], t[7], 1.0, 0.0), z, cn, 0.0, 0.0, 0.0
-        ps, pi, qs, qi = xp if step == 1 else _pair_product(xp, xp, z)
+        # e123² = +1: F, G, P and Q are (s, i) float pairs, each product written out.
+        t0, t7, (z0, z1), fs, fi, gs, gi = t[0], t[7], z, cn, 0.0, 0.0, 0.0
         if step == 1:  # P = x, Q = 1
             for c in tail:
-                fs, fi, gs, gi = (fs * ps + fi * pi + gs * z0 + gi * z1 + c, fs * pi + fi * ps + gs * z1 + gi * z0,
-                                  fs + gs * ps + gi * pi, fi + gs * pi + gi * ps)
+                fs, fi, gs, gi = (fs * t0 + fi * t7 + gs * z0 + gi * z1 + c, fs * t7 + fi * t0 + gs * z1 + gi * z0,
+                                  fs + gs * t0 + gi * t7, fi + gs * t7 + gi * t0)
         else:
+            ps, pi, qs, qi = t0 * t0 + t7 * t7 + z0, 2.0 * t0 * t7 + z1, 2.0 * t0, 2.0 * t7
             ws, wi = qs * z0 + qi * z1, qs * z1 + qi * z0
             for c in tail:
                 fs, fi, gs, gi = (fs * ps + fi * pi + gs * ws + gi * wi + c, fs * pi + fi * ps + gs * wi + gi * ws,
                                   fs * qs + fi * qi + gs * ps + gi * pi, fs * qi + fi * qs + gs * pi + gi * ps)
         if first:
-            fs, fi, gs, gi = _pair_product((fs, fi, gs, gi), xp, z)
-        power, (ps, pi, qs, qi) = None, (r * t[0], r * t[7], r, 0.0)
+            fs, fi, gs, gi = (fs * t0 + fi * t7 + gs * z0 + gi * z1, fs * t7 + fi * t0 + gs * z1 + gi * z0,
+                              fs + gs * t0 + gi * t7, fi + gs * t7 + gi * t0)
+        power, (ps, pi, qs, qi) = None, (r * t0, r * t7, r, 0.0)
         while n:
             ws, wi = qs * z0 + qi * z1, qs * z1 + qi * z0
             if n & 1:

@@ -68,19 +68,9 @@ def field_at(cfg: FieldConfig, t: float) -> Multivector:
     return Multivector(_SIG, (0, b1 * math.cos(wt), cfg.sigma * b1 * math.sin(wt), cfg.b0, 0, 0, 0, 0))
 
 
-def _bivector(e12: float, e23: float) -> Multivector:
-    return Multivector(_SIG, (0.0, 0.0, 0.0, 0.0, e12, 0.0, e23, 0.0))
-
-
-def _rotating_frame_rotor(cfg: FieldConfig, t: float) -> Multivector:
-    """S(t) = exp(-sigma e12 omega t / 2)."""
-    return exp(_bivector(-0.5 * cfg.sigma * cfg.omega * t, 0.0))
-
-
-def _frame_propagator(cfg: FieldConfig, dt: float) -> Multivector:
-    """Rotating-frame propagator exp((e23 w1 + e12 (w0 + sigma w)) dt / 2)."""
-    w0, w1 = cfg.omega0, cfg.omega1
-    return exp(_bivector(0.5 * (w0 + cfg.sigma * cfg.omega) * dt, 0.5 * w1 * dt))
+def _rotor(e12: float, e23: float) -> Multivector:
+    """The rotor exp(B) of the CL30 bivector B with these e12 and e23 coefficients."""
+    return exp(Multivector(_SIG, (0.0, 0.0, 0.0, 0.0, e12, 0.0, e23, 0.0)))
 
 
 def evolve_spinor(cfg: FieldConfig, t: float, psi0: Multivector) -> Multivector:
@@ -93,8 +83,10 @@ def evolve_spinor(cfg: FieldConfig, t: float, psi0: Multivector) -> Multivector:
     norm = geometric_product(psi0, psi0.reverse())
     if abs(norm.t[0] - 1.0) > 1e-10 or max(map(abs, norm.t[1:])) > 1e-10:
         raise ValueError("psi0 is not unit-normalized")
-    rotor = geometric_product(_rotating_frame_rotor(cfg, t), _frame_propagator(cfg, t))
-    return geometric_product(rotor, psi0)
+    # S(t) = exp(-sigma e12 w t / 2) times the propagator exp((e23 w1 + e12 (w0 + sigma w)) t / 2).
+    frame = _rotor(-0.5 * cfg.sigma * cfg.omega * t, 0.0)
+    step = _rotor(0.5 * (cfg.omega0 + cfg.sigma * cfg.omega) * t, 0.5 * cfg.omega1 * t)
+    return geometric_product(geometric_product(frame, step), psi0)
 
 
 def down_probability(cfg: FieldConfig, t: float) -> float:
@@ -200,16 +192,16 @@ def sweep_ramp(sweep: RampSweep, sigma: int, method: str = "closed") -> Probabil
     if method != "stepped":
         raise ValueError(f"method must be 'closed' or 'stepped', got {method!r}")
 
-    b1 = sweep.omega1 / sweep.gamma
-    p = np.zeros_like(times)
+    w1 = sweep.gamma * (sweep.omega1 / sweep.gamma)
+    ts, p = times.tolist(), np.zeros_like(times)
     chi = Multivector.scalar(_SIG, 1.0)
-    for k in range(sweep.samples):
-        cfg = FieldConfig(float(b0[k]), b1, sweep.omega, sigma, sweep.gamma)
-        psi = geometric_product(_rotating_frame_rotor(cfg, float(times[k])), chi)
+    for k, b in enumerate(b0.tolist()):
+        psi = geometric_product(_rotor(-0.5 * sigma * sweep.omega * ts[k], 0.0), chi)
         p[k] = min(_project_down(psi), 1.0)
         if k + 1 < sweep.samples:
-            dt = float(times[k + 1] - times[k])
-            chi = geometric_product(_frame_propagator(cfg, dt), chi)
+            dt = ts[k + 1] - ts[k]
+            e12 = 0.5 * (sweep.gamma * b + sigma * sweep.omega) * dt
+            chi = geometric_product(_rotor(e12, 0.5 * w1 * dt), chi)
     return ProbabilityTrace(times, b0, p)
 
 

@@ -175,6 +175,8 @@ def test_grade_select_examples():
     cl30 = Signature.CL30
     x = Multivector(cl30, [2.0, 3.0, 0, 0, 0, 0, 0, 0])
     assert grade_select(x, 0) == Multivector.scalar(cl30, 2.0)
+    assert x.grade(1) == grade_select(x, 1) and x.scalar_part == 2.0
+    assert str(x) == "2 + 3*e1"
     assert grade_select(blade(cl30, "e13"), 2) == blade(cl30, "e13")
     with pytest.raises(ValueError):
         grade_select(x, 4)

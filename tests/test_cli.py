@@ -179,6 +179,10 @@ def test_eval_sqrt_center_and_factors(capsys):
     assert payload["center"] == [4.0, 0.0]
     assert sorted(r[0] for r in payload["roots"]) == [-2.0, 2.0]
 
+    code, out, _ = _run(capsys, ["eval", "--fn", "sqrt-center", "--mv", "0,1,1,0,0,0,0,0", "--digits", "4"])
+    assert code == 0
+    assert out.splitlines() == ["center: 2 + 0*e123", "root: 1.414", "root: -1.414"]
+
     code, out, _ = _run(capsys, [
         "eval", "--fn", "exp-factors", "--mv", "0,1,0,0,1,0,0,0", "--format", "json",
     ])

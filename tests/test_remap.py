@@ -145,6 +145,8 @@ def test_even_multivector_validation():
         EvenMultivector("cl22", np.zeros(8))
     with pytest.raises(ValueError):
         EvenMultivector("cl13", np.zeros(4))
+    with pytest.raises(ValueError, match="finite"):
+        EvenMultivector("cl31", [0.0, 1.0, np.nan, 0.0, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         even_geometric_product(
             EvenMultivector("cl13", np.zeros(8)), EvenMultivector("cl31", np.zeros(8))

@@ -29,6 +29,8 @@ def test_members_are_singletons_with_identity_hash():
     assert Signature((3, 0)) is Signature.CL30
     assert Signature["CL12"] is Signature.CL12
     assert Signature.from_name("cl21") is Signature.CL21
+    with pytest.raises(ValueError, match="unknown algebra 'cl40'"):
+        Signature.from_name("cl40")
     assert pickle.loads(pickle.dumps(Signature.CL03)) is Signature.CL03
     for sig in Signature:
         assert hash(sig) == object.__hash__(sig)

@@ -21,7 +21,7 @@ from cl3 import (
     sweep_ramp,
     write_trace_csv,
 )
-from cl3.spin import _rotating_frame_rotor
+from cl3.spin import _rotor
 from conftest import max_err
 
 CL30 = Signature.CL30
@@ -49,7 +49,7 @@ def test_rotating_frame_makes_field_static(rng):
         want = np.zeros(8)
         want[1], want[3] = cfg.b1, cfg.b0
         for t in rng.uniform(0.0, 25.0, 20):
-            rotor = _rotating_frame_rotor(cfg, t)
+            rotor = _rotor(-0.5 * cfg.sigma * cfg.omega * t, 0.0)
             frame_field = rotor.reverse() * field_at(cfg, t) * rotor
             assert max_err(frame_field, want) <= 1e-12
 
@@ -115,6 +115,8 @@ def test_resonant_rabi_oscillation():
     for t in np.linspace(0.0, 500.0, 1001):
         assert abs(down_probability(cfg, t) - math.sin(0.05 * t / 2) ** 2) < 1e-10
     assert abs(down_probability(cfg, math.pi / 0.05) - 1.0) < 1e-12
+    # Undriven at resonance the Rabi frequency alpha is 0, and so is p.
+    assert down_probability(FieldConfig(b0=1.0, b1=0.0, omega=1.0, sigma=-1), 7.0) == 0.0
 
 
 def test_off_resonance_amplitude():
@@ -182,6 +184,21 @@ def test_stepped_sweep_cross_check():
     assert trace.p_down.max() <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         sweep_ramp(sweep, -1, method="adiabatic")
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.3])
+@pytest.mark.parametrize("sigma", [-1, 1])
+@pytest.mark.parametrize("resonant", [True, False])
+def test_stepped_sweep_on_a_flat_ramp_is_the_rabi_law(sigma, gamma, resonant):
+    # With b0 held fixed the field is constant in the rotating frame, so
+    # every step is exact and the stepped trace is down_probability.
+    omega, omega1 = 1.0, 0.3
+    b0 = -sigma * omega / gamma if resonant else 0.4
+    sweep = RampSweep(b0, b0, 40.0, 2001, omega=omega, omega1=omega1, gamma=gamma)
+    trace = sweep_ramp(sweep, sigma, method="stepped")
+    cfg = FieldConfig(b0, omega1 / gamma, omega, sigma, gamma)
+    want = [down_probability(cfg, t) for t in trace.times.tolist()]
+    assert np.abs(trace.p_down - want).max() <= 1e-12
 
 
 def test_trace_validation():

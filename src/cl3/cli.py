@@ -142,26 +142,14 @@ def _cmd_eval(args) -> int:
         ce = center_decompose(mv)
         roots = sqrt_center(ce, sig)
         if args.format == "json":
-            print(json.dumps({
-                "algebra": sig.name.lower(),
-                "center": [ce.a_s, ce.a_i],
-                "roots": [[r.a_s, r.a_i] for r in roots],
-            }))
+            print(json.dumps({"algebra": sig.name.lower(), "center": list(ce), "roots": [list(r) for r in roots]}))
         else:
             print(f"center: {ce.a_s:.{args.digits}g} + {ce.a_i:.{args.digits}g}*e123")
             for r in roots:
                 print(f"root: {render_mv(r.as_multivector(sig), args.digits)}")
         return 0
     f = exp_factors(mv)  # fn is "exp-factors", the last of argparse's choices
-    payload = {
-        "algebra": sig.name.lower(),
-        "branch": f.branch.value,
-        "a_plus_sq": f.a_plus_sq,
-        "a_minus_sq": f.a_minus_sq,
-        "a_plus": f.a_plus,
-        "a_minus": f.a_minus,
-        "c_norm": f.c_norm,
-    }
+    payload = {"algebra": sig.name.lower(), "branch": f.branch.value, **dict(zip(f._fields[2:], f[2:]))}
     if args.format == "json":
         print(json.dumps(payload))
     else:
@@ -255,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algebra", default="cl30", choices=["cl30", "cl03", "cl12", "cl21"])
+    common.add_argument("--algebra", default="cl30", choices=[s.name.lower() for s in Signature])
     common.add_argument("--mv", required=True, help="multivector literal")
     common.add_argument("--digits", type=_digits, default=8, help="significant digits (default 8)")
     common.add_argument("--format", default="text", choices=["text", "json"])

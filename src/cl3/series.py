@@ -4,7 +4,8 @@ A series of order ``n`` keeps every term of degree at most ``n``, matching
 the subscript convention of the reference tables (the order-6 hyperbolic
 sine is A + A^3/3! + A^5/5!).  Each coefficient is one correctly rounded
 integer division N_p / p!, with N_p = 1 or ±A_p, the zigzag numbers of
-sec x + tan x = Σ A_p x^p/p!.  ``_SHAPES`` is the one place the families are
+sec x + tan x = Σ A_p x^p/p!.  A table ends at its last nonzero coefficient
+(1/p! rounds to 0.0 from p = 178).  ``_SHAPES`` is the one place the families are
 described: its row gives each one's powers, N_p, signs and Horner nesting.
 Evaluation splits x = c + y: c = a0 + a123·e123 is central and so is
 z = y².  Every power of x is then F + G·y with F, G in the center, and
@@ -127,7 +128,7 @@ _SHAPES = {
 
 
 def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Powers and float coefficients of all series terms of degree <= order."""
+    """Powers and float coefficients of the series terms of degree <= order, up to the last nonzero one."""
     first, step, zigzag, alternate = _SHAPES[family]
     powers = range(first, order + 1, step)
     if zigzag and order > MAX_TABLE_ORDER:
@@ -135,25 +136,24 @@ def _term_table(family: SeriesFamily, order: int) -> tuple[tuple[int, ...], tupl
             f"{family.value} coefficients are tabulated up to order {MAX_TABLE_ORDER}, got {order}"
         )
     nums = map(_zigzag(order).__getitem__, powers) if zigzag else repeat(1)
-    # Integer true division rounds correctly: N_p / p! is float(Fraction(N_p, p!)).
-    # 1 / p! rounds to 0.0 from p = 178 on, so the factorials stop at the first zero.
-    coeffs = list(takewhile(bool, (n / math.factorial(p) for n, p in zip(nums, powers))))
-    coeffs += [0.0] * (len(powers) - len(coeffs))
-    # Signs go on after the (symmetric) rounding, so alternating zero padding is -0.0.
-    if alternate:
-        coeffs = [-c if p // 2 % 2 else c for p, c in zip(powers, coeffs)]
-    return tuple(powers), tuple(coeffs)
+    # Integer true division rounds correctly, and symmetrically: ±N_p / p! is ±float(Fraction(N_p, p!)).
+    # 1 / p! rounds to 0.0 from p = 178 on, so the factorials and the table stop at the first zero.
+    signed = ((-n if alternate and p // 2 % 2 else n) / math.factorial(p) for n, p in zip(nums, powers))
+    coeffs = tuple(takewhile(bool, signed))
+    return tuple(powers[: len(coeffs)]), coeffs
 
 
 @lru_cache(maxsize=None)
 def _row(family: SeriesFamily, order: int) -> tuple:
-    """The Horner tail c_(N-step)..c_first, c_N, N, first power, step and r = |c_N|^(1/N) of one
-    series: c_N·x^N is powered as (r·x)^N, finite wherever c_N·x^N is, though x^N may not be."""
+    """The Horner tail c_(M-step)..c_first and head c_M of the table (M its last power), N, first
+    power, step and r = |c_N|^(1/N): c_N·x^N is powered as (r·x)^N, finite wherever c_N·x^N is."""
     powers, coeffs = _term_table(family, order)
-    n, cn = powers[-1], coeffs[-1]
-    # The float c_N = ±1/N! is subnormal or 0 for N >= 171 (beyond the tables): r from log N! there.
+    first, step = _SHAPES[family][:2]
+    n = range(first, order + 1, step)[-1]
+    cn = coeffs[-1] if n == powers[-1] else 0.0
+    # The float c_N = ±1/N! is subnormal for N >= 171 and 0.0 past the table: r from log N! there.
     r = math.exp(-math.lgamma(n + 1) / n) if n and abs(cn) < sys.float_info.min else abs(cn) ** (1.0 / max(n, 1))
-    return coeffs[-2::-1], cn, n, *_SHAPES[family][:2], r
+    return coeffs[-2::-1], coeffs[-1], n, first, step, r
 
 
 def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False):
@@ -164,12 +164,12 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     term c_N·x^N: a divergence indicator the caller can surface.  Only
     y² and each G·y take a product kernel, whatever the order.
     """
-    tail, cn, n, first, step, r = _row(spec.family, spec.terms)
+    tail, cm, n, first, step, r = _row(spec.family, spec.terms)
     t, sig, cy = x.t, x.sig, _CENTER_Y[x.sig]
     z, n = _SQUARE_Y[sig](t, t), n if return_last_term else 0
     if sig.i_square < 0:
         # e123 = i: the center is the complex plane, and F, G, P, Q and z are complex numbers.
-        z, xc, f, g = complex(*z), complex(t[0], t[7]), cn, 0.0
+        z, xc, f, g = complex(*z), complex(t[0], t[7]), cm, 0.0
         if step == 1:  # P = x, Q = 1
             for c in tail:
                 f, g = f * xc + g * z + c, f + g * xc
@@ -190,7 +190,7 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
         power = power and (power[0].real, power[0].imag, power[1].real, power[1].imag)
     else:
         # e123² = +1: F, G, P and Q are (s, i) float pairs, each product written out.
-        t0, t7, (z0, z1), fs, fi, gs, gi = t[0], t[7], z, cn, 0.0, 0.0, 0.0
+        t0, t7, (z0, z1), fs, fi, gs, gi = t[0], t[7], z, cm, 0.0, 0.0, 0.0
         if step == 1:  # P = x, Q = 1
             for c in tail:
                 fs, fi, gs, gi = (fs * t0 + fi * t7 + gs * z0 + gi * z1 + c, fs * t7 + fi * t0 + gs * z1 + gi * z0,
@@ -218,5 +218,5 @@ def series_eval(x: Multivector, spec: SeriesSpec, return_last_term: bool = False
     value = Multivector._of(sig, (fs, *cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t), fi))
     if not return_last_term:
         return value
-    fs, fi, gs, gi = power or (abs(cn), 0.0, 0.0, 0.0)
+    fs, fi, gs, gi = power or (abs(cm), 0.0, 0.0, 0.0)  # N = 0: c_M = c_0 = 1
     return value, max(abs(fs), abs(fi), *map(abs, cy((gs, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gi), t)))

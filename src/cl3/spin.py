@@ -192,7 +192,7 @@ def sweep_ramp(sweep: RampSweep, sigma: int, method: str = "closed") -> Probabil
     if method != "stepped":
         raise ValueError(f"method must be 'closed' or 'stepped', got {method!r}")
 
-    w1 = sweep.gamma * (sweep.omega1 / sweep.gamma)
+    w1 = sweep.omega1
     ts, p = times.tolist(), np.zeros_like(times)
     chi = Multivector.scalar(_SIG, 1.0)
     for k, b in enumerate(b0.tolist()):

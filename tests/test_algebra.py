@@ -137,6 +137,11 @@ def test_multivector_validation():
         Multivector(Signature.CL30, [1, 2, 3])
     with pytest.raises(ValueError):
         Multivector(Signature.CL30, [np.inf, 0, 0, 0, 0, 0, 0, 0])
+    # Operands that are neither multivectors nor real scalars are refused.
+    x = Multivector.scalar(Signature.CL30, 2.0)
+    for op in (lambda: x + "a", lambda: x * "a", lambda: x / x):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_involution_examples():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cl3 import Multivector, MVParseError, Signature
+from cl3 import (Multivector, MVParseError, NoIsolatedRootError, Signature, center_decompose, exp_factors,
+                 sqrt_center)
 from cl3.cli import main, parse_mv, render_mv
 from reference_values import EXACT, REF_COEFFS, TABLE_TOL
 
@@ -189,6 +190,32 @@ def test_eval_sqrt_center_and_factors(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["branch"] == "both-degenerate"
+
+    # Every algebra, on a zero, a degenerate and a generic input: the fields in
+    # record order, JSON byte for byte (None as null) and the text lines.
+    for sig in Signature:
+        name = sig.name.lower()
+        literals = ("0,0,0,0,0,0,0,0", "0,1,0,0,1,0,0,0", "0.3,0.5,-0.2,0.1,0.4,0,-0.6,0.7", "2,0,1,0,0,0,0,0.5")
+        for literal in literals:
+            x, argv = parse_mv(literal, sig), ["eval", "--algebra", name, "--mv", literal]
+            f = exp_factors(x)
+            want = {"algebra": name, "branch": f.branch.value, "a_plus_sq": f.a_plus_sq,
+                    "a_minus_sq": f.a_minus_sq, "a_plus": f.a_plus, "a_minus": f.a_minus, "c_norm": f.c_norm}
+            got = _run(capsys, [*argv, "--fn", "exp-factors", "--format", "json"])
+            assert got == (0, json.dumps(want) + "\n", "")
+            lines = [f"algebra: {name}", f"branch: {f.branch.value}"]
+            lines += [f"{k}: {v:.8g}" for k, v in list(want.items())[2:] if v is not None]
+            assert _run(capsys, [*argv, "--fn", "exp-factors"]) == (0, "\n".join(lines) + "\n", "")
+
+            ce = center_decompose(x)
+            code, out, err = _run(capsys, [*argv, "--fn", "sqrt-center", "--format", "json"])
+            try:
+                roots = sqrt_center(ce, sig)
+            except NoIsolatedRootError as exc:
+                assert (code, out, err) == (1, "", f"error: {exc}\n")
+                continue
+            want = {"algebra": name, "center": [ce.a_s, ce.a_i], "roots": [[r.a_s, r.a_i] for r in roots]}
+            assert (code, out, err) == (0, json.dumps(want) + "\n", "")
 
 
 def test_trig_on_split_algebras(capsys):

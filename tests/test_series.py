@@ -177,34 +177,49 @@ def test_bernoulli_and_euler_numbers_match_series_quotients():
     assert euler_numbers(MAX_TABLE_ORDER) == want
 
 
+def _series_powers(family, order):
+    """Every power of degree <= order in the series of ``family``."""
+    if family.value in ("sinh", "sin", "tanh", "tan"):
+        return tuple(range(1, order + 1, 2))
+    if family is SeriesFamily.EXP:
+        return tuple(range(order + 1))
+    return tuple(range(0, order + 1, 2))
+
+
 def test_term_table_rounds_exact_fractions():
     for family in SeriesFamily:
         capped = family.value in ("tan", "tanh", "sec", "sech")
         for order in range(1, (MAX_TABLE_ORDER if capped else 200) + 1):
-            if family.value in ("sinh", "sin", "tanh", "tan"):
-                want_powers = tuple(range(1, order + 1, 2))
-            elif family is SeriesFamily.EXP:
-                want_powers = tuple(range(order + 1))
-            else:
-                want_powers = tuple(range(0, order + 1, 2))
+            # The table ends at its last nonzero coefficient: 1 / p! rounds to 0.0 from p = 178 on.
+            want_powers = tuple(p for p in _series_powers(family, order) if float(_exact_coefficient(family, p)))
             powers, coeffs = _term_table(family, order)
             assert powers == want_powers, (family, order)
-            # By float.hex, so that the sign of each zero coefficient counts too.
+            # By float.hex, so that the sign of each coefficient counts too.
             want = [float(_exact_coefficient(family, p)).hex() for p in powers]
             assert [c.hex() for c in coeffs] == want, (family, order)
 
 
 def test_long_term_table_stops_forming_factorials(monkeypatch):
-    # 1 / p! rounds to 0.0 from p = 178 on, so order 2000 is order 200 padded with zeros.
+    # 1 / p! rounds to 0.0 from p = 178 on, so order 2000 has order 200's table.
     calls, factorial = [], math.factorial
     monkeypatch.setattr(math, "factorial", lambda p: calls.append(p) or factorial(p))
     for family in (SeriesFamily.EXP, SeriesFamily.SIN, SeriesFamily.COS, SeriesFamily.SINH, SeriesFamily.COSH):
         calls.clear()
-        powers, coeffs = _term_table(family, 2000)
+        table = _term_table(family, 2000)
         assert len(calls) <= 180, family
-        short_powers, short = _term_table(family, 200)
-        assert powers[:len(short_powers)] == short_powers
-        assert coeffs == short + (0.0,) * (len(powers) - len(short)), family
+        assert table == _term_table(family, 200), family
+        assert table[0][-1] == (176 if family.value in ("cos", "cosh") else 177), family
+
+
+def test_order_past_the_table_costs_no_more(rng):
+    # The order-10**6 row is the order-177 row, bar its N and r: same Horner, same value.
+    assert len(series._row(SeriesFamily.EXP, 10**6)[0]) <= 177
+    for sig in ALL_SIGS:
+        x = rand_mv(rng, sig, 0.5)
+        for family in (SeriesFamily.EXP, SeriesFamily.SIN, SeriesFamily.COS, SeriesFamily.SINH, SeriesFamily.COSH):
+            assert series_eval(x, SeriesSpec(family, 10**6)) == series_eval(x, SeriesSpec(family, 177))
+            _, delta = series_eval(x, SeriesSpec(family, 10**6), return_last_term=True)
+            assert delta == 0.0, (sig, family)
 
 
 def _exact_powers(x, top):
@@ -225,11 +240,12 @@ def _exact_series(xp, spec):
     its value, the summed term size sum |c_p| max|x^p|, and |c_N x^N| with
     the exact rational c_N (the float one is 0.0 from N = 178 on)."""
     powers, coeffs = _term_table(spec.family, spec.terms)
+    n = _series_powers(spec.family, spec.terms)[-1]
     with mp.workdps(bench_reference().ORACLE_DPS):
         sizes = [abs(mp.mpf(c)) * max(map(abs, xp[p])) for p, c in zip(powers, coeffs)]
         value = [mp.fsum(mp.mpf(c) * xp[p][i] for p, c in zip(powers, coeffs)) for i in range(8)]
-        cn = _exact_coefficient(spec.family, powers[-1])
-        last = abs(mp.mpf(cn.numerator) / cn.denominator) * max(map(abs, xp[powers[-1]]))
+        cn = _exact_coefficient(spec.family, n)
+        last = abs(mp.mpf(cn.numerator) / cn.denominator) * max(map(abs, xp[n]))
         return value, mp.fsum(sizes), last
 
 

@@ -158,6 +158,16 @@ def test_sweep_peak_sits_at_resonance(sigma):
     assert trace.p_down[~window].max() < 0.5 * trace.p_down[k]
 
 
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_closed_sweep_is_the_rabi_law_at_every_sample(sigma):
+    # The paper's ramp: each closed sample is down_probability at its own b0 and t.
+    sweep = RampSweep(-2.0, 2.0, 500.0, 5000, omega=1.0, omega1=0.05)
+    trace = sweep_ramp(sweep, sigma, "closed")
+    want = [down_probability(FieldConfig(b, sweep.omega1, sweep.omega, sigma), t)
+            for t, b in zip(trace.times.tolist(), trace.b0.tolist())]
+    assert np.abs(trace.p_down - want).max() <= 1e-12
+
+
 def test_sweep_peaks_mirror_between_senses():
     sweep = RampSweep(-2.0, 2.0, 500.0, 5001, omega=1.0, omega1=0.05)
     minus = sweep_ramp(sweep, -1)

@@ -445,10 +445,12 @@ def inverse(x: Multivector) -> InverseResult:
 
 
 def det_norm(x: Multivector) -> float:
-    """Determinant norm det(x)**(1/4) (det is quartic in x)."""
-    det = determinant(x)
+    """Determinant norm det(x)**(1/4) (det is quartic in x), as 2^-k det(2^k x)**(1/4)
+    with sum |2^k c_i| in [1/2, 1): finite wherever the norm is, and scale-free."""
+    k = -math.frexp(sum(map(abs, x.t)))[1]
+    det = determinant(Multivector._of(x.sig, tuple([math.ldexp(v, k) for v in x.t])))
     if det < 0.0:
         raise NormUndefinedError(
-            f"determinant {det:.6g} is negative; no real fourth root"
+            f"determinant of {x!r} is negative; no real fourth root"
         )
-    return det ** 0.25
+    return math.ldexp(det ** 0.25, -k)

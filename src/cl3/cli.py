@@ -160,11 +160,11 @@ def _cmd_eval(args) -> int:
 
 
 def _series(fn: str, mv: Multivector, terms: int) -> Multivector:
-    """The order-``terms`` series of ``fn``; warns when its last term still counts."""
+    """The order-``terms`` series of ``fn``; warns when its last term still counts against the result."""
     from .series import SeriesFamily, SeriesSpec, series_eval
 
     result, delta = series_eval(mv, SeriesSpec(SeriesFamily(fn), terms), return_last_term=True)
-    if delta > _CONVERGENCE_WARN:
+    if delta > _CONVERGENCE_WARN * max(map(abs, result.t)):
         print(
             f"warning: last series term still moves coefficients by {delta:.3g}; "
             "the series may not have converged",

@@ -48,7 +48,7 @@ def degeneracy_eps(x: Multivector) -> float:
     """
     _, a1, a2, a3, a12, a13, a23, _ = x.t
     ss = a1 * a1 + a2 * a2 + a3 * a3 + a12 * a12 + a13 * a13 + a23 * a23
-    return _LABEL_EPS * (ss + 1.0)
+    return _LABEL_EPS * ss
 
 
 class ExpBranch(enum.Enum):

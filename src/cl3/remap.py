@@ -12,7 +12,8 @@ slots and the signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .algebra import (
     _BLADE_MASKS,
@@ -23,9 +24,6 @@ from .algebra import (
     Signature,
     blade_product,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "EVEN_BLADE_NAMES",
@@ -53,8 +51,6 @@ class EvenMultivector:
     c: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-
         if self.algebra not in _EVEN_SQUARES:
             raise ValueError(f"algebra must be 'cl13' or 'cl31', got {self.algebra!r}")
         c = np.array(self.c, dtype=float).reshape(8)
@@ -85,18 +81,15 @@ class RemapTable:
     name: str
     src: str                       # "cl30", "cl13", "cl31"
     dst: str                       # "cl12" or "cl30"
-    src_labels: tuple[str, ...]
-    dst_labels: tuple[str, ...]
     src_slot: tuple[int, ...]      # dst slot i takes src slot src_slot[i]
     sign: tuple[int, ...]          # ... multiplied by sign[i]
+    dst_slot: tuple[int, ...]      # src slot j takes dst slot dst_slot[j] (signs are +/-1)
 
     def forward(self, coeffs) -> tuple[float, ...]:
         return tuple([s * coeffs[k] for k, s in zip(self.src_slot, self.sign)])
 
     def backward(self, coeffs) -> tuple[float, ...]:
-        # Source slot src_slot[i] takes destination slot i (signs are +/-1).
-        dst_slot = sorted(range(8), key=self.src_slot.__getitem__)
-        return tuple([self.sign[i] * coeffs[i] for i in dst_slot])
+        return tuple([self.sign[i] * coeffs[i] for i in self.dst_slot])
 
 
 _SIG_BY_NAME = {"cl30": Signature.CL30, "cl12": Signature.CL12}
@@ -137,7 +130,8 @@ def _solve_table(name: str, src: str, dst: str, gens: tuple[str, str, str]) -> R
     # Negating e3's image flips every blade that holds e3, the pseudoscalar too.
     flip = signs[7]
     signs = [s * flip if dst_mask & 0b100 else s for s, dst_mask in zip(signs, _BLADE_MASKS)]
-    return RemapTable(name, src, dst, src_labels, BLADE_NAMES, tuple(slots), tuple(signs))
+    dst_slot = sorted(range(8), key=slots.__getitem__)
+    return RemapTable(name, src, dst, tuple(slots), tuple(signs), tuple(dst_slot))
 
 
 # Source labels of the destination generators e1, e2, e3.

@@ -13,13 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .algebra import Multivector, Signature, blade, geometric_product, grade_select
 from .exponential import exp
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FieldConfig",
@@ -136,8 +134,6 @@ class RampSweep:
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only sample times and static-field values, computed once and
         shared by every trace of this ramp."""
-        import numpy as np
-
         times = np.linspace(0.0, self.duration, self.samples)
         b0 = np.linspace(self.b0_start, self.b0_end, self.samples)
         times.flags.writeable = False
@@ -152,8 +148,6 @@ class ProbabilityTrace:
     p_down: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-
         for name in ("times", "b0", "p_down"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
@@ -175,8 +169,6 @@ def sweep_ramp(sweep: RampSweep, sigma: int, method: str = "closed") -> Probabil
     of each interval, a first-order solver of that ODE: 2.43e-3 off
     ``solve_ivp`` in p on the paper ramp.
     """
-    import numpy as np
-
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be -1 or +1, got {sigma}")
     times, b0 = sweep.grid

@@ -1,14 +1,19 @@
 import functools
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cl3
 from cl3 import Multivector, Signature
 
 ALL_SIGS = tuple(Signature)
+# Environment for a child interpreter: it imports the same cl3 as the tests,
+# installed or not (pytest's own ``pythonpath`` setting reaches no child).
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(cl3.__file__).parents[1]))
 
 
 @functools.lru_cache(maxsize=None)

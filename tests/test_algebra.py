@@ -2,7 +2,6 @@
 
 import ast
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,17 +26,20 @@ from cl3 import (
     adjugate,
     blade,
     blades,
+    center_decompose,
     det_norm,
     determinant,
     even_geometric_product,
+    exp_factors,
     geometric_product,
     grade_select,
     inverse,
     involute,
+    normalize,
     sign_table,
 )
 from cl3.algebra import _BLADE_MASKS, _CENTER_Y, _INVOLUTION_SIGNS, _PRODUCTS, _SQUARE_Y, _product_kernel, blade_product
-from conftest import ALL_SIGS, bench_reference, max_err, rand_mv
+from conftest import ALL_SIGS, CHILD_ENV, bench_reference, max_err, rand_mv
 from reference_values import REF_COEFFS, REF_DET
 
 # Hand-derived CL30 blade product table in the order
@@ -393,10 +395,13 @@ def test_determinant_overflow_is_a_typed_error():
 def test_determinant_overflow_names_the_overflow(sig, scale):
     # At 3e76 only x * adj overflows; at 1e103 the adjugate itself does.
     # Every input coefficient is finite, so the message names the overflow.
-    x = Multivector(sig, (3, 1, 2, 1, 2, 1, 3, 1)) * scale
-    for f in (determinant, inverse, det_norm, adjugate):
+    base = Multivector(sig, (3, 1, 2, 1, 2, 1, 3, 1))
+    x = base * scale
+    for f in (determinant, inverse, adjugate):
         with pytest.raises(NonFiniteError, match=r"^determinant of Multivector\(.+\) overflows double precision$"):
             f(x)
+    # det_norm takes the determinant at unit scale, so its fourth root stays finite.
+    assert math.isclose(det_norm(x), scale * det_norm(base), rel_tol=1e-14)
 
 
 def test_det_norm_reference():
@@ -418,6 +423,55 @@ def test_det_norm_negative_determinant_errors():
     assert determinant(x) == -4.0
     with pytest.raises(NormUndefinedError):
         det_norm(x)
+
+
+def _outcome(f, x):
+    """f(x), or the type of the Cl3Error it raises."""
+    try:
+        return f(x)
+    except Cl3Error as err:
+        return type(err)
+
+
+# A coefficient of the scale property: zero, or a magnitude in [lo, hi] of either sign.
+def _signed(lo, hi):
+    return st.one_of(st.just(0.0), st.floats(lo, hi), st.floats(-hi, -lo))
+
+
+_SCALED_INPUT = [0.3, 0.2, -0.1, 0.4, 0.25, -0.15, 0.35, 0.1]
+
+
+@given(sig=sig_st, coeffs=st.lists(_signed(1e-3, 10.0), min_size=8, max_size=8),
+       cls=st.sampled_from(["generic", "near-singular", "small-y"]),
+       noise=st.lists(_signed(1e-6, 1e-3), min_size=8, max_size=8),
+       small=st.floats(1e-12, 1e-4), k=st.integers(-300, 300))
+@example(sig=Signature.CL30, coeffs=_SCALED_INPUT, cls="generic", noise=[0.0] * 8, small=1e-12, k=-20)
+@example(sig=Signature.CL30, coeffs=_SCALED_INPUT, cls="generic", noise=[0.0] * 8, small=1e-12, k=-300)
+@example(sig=Signature.CL30, coeffs=_SCALED_INPUT, cls="generic", noise=[0.0] * 8, small=1e-12, k=270)
+@settings(max_examples=300, deadline=None)
+def test_homogeneous_functions_commute_with_power_of_two_scaling(sig, coeffs, cls, noise, small, k):
+    # y = 2^k x rounds nothing, and with these magnitudes every result below
+    # stays a normal float, so each holds bit for bit at any k: the label,
+    # det_norm(y) = 2^k det_norm(x), center_decompose(y) = 4^k center_decompose(x),
+    # normalize(y, "exact") = normalize(x, "exact"), and the same Cl3Error type.
+    # determinant and inverse are left out: near the ends of this range their
+    # partial products or 1/det leave the normal range and move by an ulp
+    # (inverse at k = 256 and 260, det at k = -250 and -256), though those
+    # inverses still keep at least 15.5 digits against the 50-digit oracle.
+    if cls == "near-singular":
+        x = _near_singular(sig, coeffs, tuple(noise))
+    else:
+        x = Multivector(sig, [v * small if cls == "small-y" and 0 < i < 7 else v for i, v in enumerate(coeffs)])
+    y = x * math.ldexp(1.0, k)
+    assert _outcome(lambda m: exp_factors(m).branch, y) == _outcome(lambda m: exp_factors(m).branch, x)
+    assert center_decompose(y) == tuple([math.ldexp(v, 2 * k) for v in center_decompose(x)])
+    norm_x, norm_y = _outcome(det_norm, x), _outcome(det_norm, y)
+    assert norm_y == (math.ldexp(norm_x, k) if type(norm_x) is float else norm_x)
+    exact_x, exact_y = _outcome(lambda m: normalize(m, "exact"), x), _outcome(lambda m: normalize(m, "exact"), y)
+    if type(exact_x) is tuple:
+        assert exact_y[0] == exact_x[0] and exact_y[1] == math.ldexp(exact_x[1], k)
+    else:
+        assert exact_y == exact_x
 
 
 def test_blades_helper():
@@ -548,9 +602,8 @@ print(determinant(Multivector(Signature.CL30, (0.3, 1, -0.5, 0.2, 0.7, -0.1, 0.4
 
 def test_residue_check_survives_python_O():
     # A corrupted product table must still be caught when -O strips asserts.
-    env = dict(os.environ, PYTHONPATH=str(Path(cl3.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_KERNEL], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", _CORRUPT_KERNEL], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode != 0 and proc.stdout == ""
     assert "AssertionError: non-scalar residue" in proc.stderr

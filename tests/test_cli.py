@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cl3 import (Multivector, MVParseError, NoIsolatedRootError, Signature, center_decompose, exp_factors,
-                 sqrt_center)
+from cl3 import (Multivector, MVParseError, NoIsolatedRootError, Signature, center_decompose, det_norm,
+                 exp_factors, sqrt_center)
 from cl3.cli import main, parse_mv, render_mv
+from conftest import CHILD_ENV
 from reference_values import EXACT, REF_COEFFS, TABLE_TOL
 
 CL30 = Signature.CL30
@@ -279,6 +280,15 @@ def test_compare_warns_where_the_last_coefficient_underflows(capsys):
     assert "3.37e+120" in err and "may not have converged" in err
 
 
+def test_series_warning_is_relative_to_the_result(capsys):
+    # exp(20) to order 60: the last term 1.39e-4 is 2.9e-13 of the value 4.85e8.
+    code, out, err = _run(capsys, ["eval", "--series", "--fn", "exp", "--terms", "60", "--mv", "20,0,0,0,0,0,0,0"])
+    assert code == 0 and err == "" and math.isclose(float(out), math.exp(20.0), rel_tol=1e-6)
+    # tan outside its radius (lambda = 10 and 0.01): the last term is as large as the value.
+    code, _, err = _run(capsys, ["compare", "--fn", "tan", "--terms", "20", "--mv", "5.005,4.995,0,0,0,0,0,0"])
+    assert code == 0 and "1.2e+15" in err and "may not have converged" in err
+
+
 def test_compare_json(capsys):
     code, out, _ = _run(capsys, [
         "compare", "--fn", "sinh", "--terms", "11", "--mv", REF_LITERAL, "--format", "json",
@@ -363,7 +373,12 @@ def test_overflow_and_bad_ga_eps_exit_cleanly(capsys, monkeypatch):
 @pytest.mark.parametrize("fn", ["det", "inv", "det-norm"])
 def test_determinant_overflow_names_the_overflow(capsys, fn):
     # Every coefficient is finite; the determinant (about 5e308) is not.
-    code, out, err = _run(capsys, ["eval", "--fn", fn, "--mv", "9e76,3e76,6e76,3e76,6e76,3e76,9e76,3e76"])
+    argv = ["eval", "--fn", fn, "--format", "json", "--mv", "9e76,3e76,6e76,3e76,6e76,3e76,9e76,3e76"]
+    code, out, err = _run(capsys, argv)
+    if fn == "det-norm":  # taken at unit scale, so its fourth root (about 1e77) is finite
+        base = det_norm(Multivector(CL30, (3, 1, 2, 1, 2, 1, 3, 1)))
+        assert code == 0 and err == "" and math.isclose(json.loads(out)["value"], 3e76 * base, rel_tol=1e-14)
+        return
     assert code == 1 and out == ""
     assert err.startswith("error: determinant of ") and err.rstrip().endswith("overflows double precision")
     assert len(err.splitlines()) == 1
@@ -374,6 +389,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "cl3.cli", "eval", "--fn", "exp", "--mv", "0,0,0,0,0,0,0,0"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"

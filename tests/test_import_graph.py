@@ -8,7 +8,6 @@ are not counted against the library.
 """
 
 import json
-import os
 import pickle
 import subprocess
 import sys
@@ -18,9 +17,9 @@ import pytest
 
 import cl3
 from cl3 import CenterElement, ExpBranch, ExpFactors, Multivector, Signature, exp_factors
+from conftest import CHILD_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
-_ENV = dict(os.environ, PYTHONPATH=str(Path(cl3.__file__).parents[1]))
 _LITERAL = "4,1,-2,1,3,-1,2,1 / 5"
 _LAZY_MODULES = ("cl3.remap", "cl3.series", "cl3.spin")
 
@@ -62,7 +61,7 @@ print(json.dumps({"import": after_import, "main": sorted(set(sys.modules) - befo
 
 def _loaded(runs):
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED, json.dumps(runs)], capture_output=True, text=True, env=_ENV,
+        [sys.executable, "-c", _LOADED, json.dumps(runs)], capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
@@ -105,7 +104,7 @@ print(json.dumps({"dir": listed, "all": cl3.__all__, "star": sorted(n for n in s
 
 
 def test_public_names_are_unchanged():
-    proc = subprocess.run([sys.executable, "-c", _PUBLIC], capture_output=True, text=True, env=_ENV)
+    proc = subprocess.run([sys.executable, "-c", _PUBLIC], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"dir": sorted(PUBLIC_NAMES), "all": sorted(PUBLIC_NAMES), "star": sorted(PUBLIC_NAMES)}
@@ -163,7 +162,7 @@ def test_series_spec_is_an_immutable_picklable_record():
 def _trace(argv):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "cli_child.py"), *argv],
-        capture_output=True, text=True, env=_ENV, cwd=ROOT,
+        capture_output=True, text=True, env=CHILD_ENV, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stderr.splitlines() if line.startswith("BENCH_TRACE ")]

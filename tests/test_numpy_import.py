@@ -6,10 +6,8 @@ and the CLI's JSON is bit-identical to the in-process results.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +32,8 @@ from cl3 import (
     trig_exact,
 )
 from cl3.cli import main, parse_mv
+from conftest import CHILD_ENV
 
-_ENV = dict(os.environ, PYTHONPATH=str(Path(cl3.__file__).parents[1]))
 _LITERAL = "4,1,-2,1,3,-1,2,1 / 5"
 _EVAL_FNS = (
     "exp", "sin", "cos", "tan", "sinh", "cosh", "tanh",
@@ -68,7 +66,7 @@ def test_import_and_cli_leave_numpy_unloaded():
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_FREE_RUN, json.dumps(runs)],
-        capture_output=True, text=True, env=_ENV,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"after_import": False, "after_main": False, "codes": [0] * len(runs)}
@@ -166,7 +164,7 @@ def test_zero_divisor_is_a_parse_error():
 def test_bad_divisor_prints_one_error_line(literal, message):
     proc = subprocess.run(
         [sys.executable, "-m", "cl3.cli", "eval", "--fn", "exp", "--mv", literal],
-        capture_output=True, text=True, env=_ENV,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -1,14 +1,11 @@
 """Relabeling tables: round trips, multiplicativity, exponential transport."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cl3
 from cl3 import (
     REMAP_TABLES,
     EvenMultivector,
@@ -24,7 +21,7 @@ from cl3 import (
     series_eval,
 )
 from cl3.remap import _solve_table
-from conftest import max_err, rand_mv
+from conftest import CHILD_ENV, max_err, rand_mv
 
 CL3030_TABLES = ("cl30_cl12_1", "cl30_cl12_2")
 EVEN_TABLES = ("cl13_even_cl30_1", "cl13_even_cl30_2", "cl31_even_cl30_1", "cl31_even_cl30_2")
@@ -185,9 +182,8 @@ def test_generator_checks_survive_python_O():
         "    except AssertionError as err:\n"
         "        print(err)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cl3.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
